@@ -36,6 +36,7 @@ use std::collections::BTreeMap;
 
 use pobp::cli::{flag_value, has_flag, parse_num};
 use pobp_bench::{geo_mean, lax_workload, log_base_k1, mixed_workload, small_workload};
+use pobp_core::json::Json;
 use pobp_core::{JobId, JobSet};
 use pobp_engine::{Algo, Engine, EngineConfig, GridSpec, SolveTask, TaskResult};
 use pobp_forest::{levelled_contraction, loss_bound, tm, LowerBoundTree};
@@ -343,48 +344,40 @@ fn bench_snapshot(path: &str) -> Result<(), String> {
 /// One parsed snapshot cell: `(alg, n, k, median_ns)`.
 type BenchCell = (String, u64, u64, u128);
 
-/// Parses a `BENCH_*.json` snapshot (the exact format `bench_snapshot`
-/// writes — one cell object per line). Accepts schema 1 (no per-cell alg:
-/// inherits the file-level `"alg"`) and schema 2.
+/// Parses a `BENCH_*.json` snapshot. Accepts schema 1 (no per-cell alg:
+/// cells inherit the file-level `"alg"`) and schema 2.
 fn parse_bench_snapshot(path: &str) -> Result<Vec<BenchCell>, String> {
     let text = std::fs::read_to_string(path).map_err(|e| format!("reading {path}: {e}"))?;
-    let field_u = |line: &str, key: &str| -> Option<u128> {
-        let at = line.find(&format!("\"{key}\""))?;
-        let rest = &line[at..];
-        let digits: String =
-            rest.chars().skip_while(|c| !c.is_ascii_digit()).take_while(char::is_ascii_digit).collect();
-        digits.parse().ok()
-    };
-    let field_s = |line: &str, key: &str| -> Option<String> {
-        let at = line.find(&format!("\"{key}\""))?;
-        let rest = &line[at + key.len() + 2..];
-        let open = rest.find('"')?;
-        let rest = &rest[open + 1..];
-        Some(rest[..rest.find('"')?].to_string())
-    };
-    let schema = field_u(&text, "schema").ok_or_else(|| format!("{path}: no \"schema\" field"))?;
-    if schema > BENCH_SCHEMA_VERSION as u128 {
+    let doc = Json::parse(&text).map_err(|e| format!("{path}: {e}"))?;
+    let schema = doc
+        .get("schema")
+        .and_then(Json::as_u64)
+        .ok_or_else(|| format!("{path}: no \"schema\" field"))?;
+    if schema > u64::from(BENCH_SCHEMA_VERSION) {
         return Err(format!(
             "{path}: snapshot schema {schema} is newer than supported {BENCH_SCHEMA_VERSION}"
         ));
     }
-    // Schema 1 stamps one file-level alg; cells inherit it.
-    let file_alg = field_s(text.lines().find(|l| l.contains("\"alg\"")).unwrap_or(""), "alg");
-    let mut cells = Vec::new();
-    for line in text.lines() {
-        if !line.contains("\"median_ns\"") {
-            continue;
-        }
-        let alg = field_s(line, "alg")
-            .or_else(|| file_alg.clone())
-            .ok_or_else(|| format!("{path}: cell without alg: {line}"))?;
-        let n =
-            field_u(line, "n").ok_or_else(|| format!("{path}: cell without n: {line}"))? as u64;
-        let k = field_u(line, "k").ok_or_else(|| format!("{path}: cell without k: {line}"))? as u64;
-        let median = field_u(line, "median_ns")
-            .ok_or_else(|| format!("{path}: cell without median_ns: {line}"))?;
-        cells.push((alg, n, k, median));
-    }
+    let file_alg = doc.get("alg").and_then(Json::as_str);
+    let cells = doc
+        .get("cells")
+        .and_then(Json::as_arr)
+        .unwrap_or_default()
+        .iter()
+        .map(|cell| {
+            let num = |key: &str| {
+                cell.get(key)
+                    .and_then(Json::as_u64)
+                    .ok_or_else(|| format!("{path}: cell without {key}: {cell}"))
+            };
+            let alg = cell
+                .get("alg")
+                .and_then(Json::as_str)
+                .or(file_alg)
+                .ok_or_else(|| format!("{path}: cell without alg: {cell}"))?;
+            Ok((alg.to_string(), num("n")?, num("k")?, u128::from(num("median_ns")?)))
+        })
+        .collect::<Result<Vec<BenchCell>, String>>()?;
     if cells.is_empty() {
         return Err(format!("{path}: no cells found"));
     }
@@ -1057,5 +1050,53 @@ fn e12_switch_cost() {
             pobp_sim::efficiency(&jobs, &red, 2),
             pobp_sim::efficiency(&jobs, &red, 8),
         );
+    }
+}
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    /// Each committed snapshot parses to the cells the `bench-compare`
+    /// gate has always read from it: count, median sum, first and last
+    /// cell, and the algorithms present.
+    #[test]
+    fn committed_snapshots_parse_to_their_cells() {
+        let cell = |alg: &str, n, k, ns| (alg.to_string(), n, k, ns);
+        for (file, count, sum_ns, first, last, algs) in [
+            (
+                "BENCH_e4.json",
+                12,
+                4_616_840,
+                cell("reduction", 20, 0, 110_089),
+                cell("reduction", 80, 4, 766_994),
+                &["reduction"][..],
+            ),
+            (
+                "BENCH_e5.json",
+                36,
+                6_351_297,
+                cell("reduction", 20, 0, 103_040),
+                cell("tm", 80, 4, 6_250),
+                &["lsa", "reduction", "tm"][..],
+            ),
+            (
+                "BENCH_e6.json",
+                40,
+                145_705_421,
+                cell("reduction", 20, 0, 113_061),
+                cell("dense", 6, 2, 41_963_881),
+                &["dense", "lsa", "reduction", "tm"][..],
+            ),
+        ] {
+            let path = format!("{}/../../{file}", env!("CARGO_MANIFEST_DIR"));
+            let cells = parse_bench_snapshot(&path).unwrap();
+            assert_eq!(cells.len(), count, "{file}");
+            assert_eq!(cells.iter().map(|c| c.3).sum::<u128>(), sum_ns, "{file}");
+            assert_eq!(cells.first(), Some(&first), "{file}");
+            assert_eq!(cells.last(), Some(&last), "{file}");
+            let found: std::collections::BTreeSet<&str> =
+                cells.iter().map(|c| c.0.as_str()).collect();
+            assert_eq!(found.into_iter().collect::<Vec<_>>(), algs, "{file}");
+        }
     }
 }

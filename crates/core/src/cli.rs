@@ -105,6 +105,27 @@ where
     }
 }
 
+/// Rejects any argument that is not a known flag, naming it, so a typo or
+/// a retired flag is loud instead of silently running on defaults. Both
+/// lists are whitespace-separated; `value_flags` consume the argument after
+/// them (a missing value is left for [`flag_value`] to report).
+pub fn reject_unknown_flags(
+    args: &[String],
+    value_flags: &str,
+    bool_flags: &str,
+) -> Result<(), String> {
+    let is = |list: &str, a: &str| list.split_whitespace().any(|f| f == a);
+    let mut rest = args.iter().peekable();
+    while let Some(a) = rest.next() {
+        if is(value_flags, a) {
+            rest.next_if(|v| !v.starts_with("--"));
+        } else if !is(bool_flags, a) {
+            return Err(format!("unknown argument `{a}`"));
+        }
+    }
+    Ok(())
+}
+
 /// The single place a raw flag value is parsed — every error produced by
 /// this module names the flag and echoes the exact text it choked on.
 fn parse_as<T: std::str::FromStr>(raw: &str, name: &str) -> Result<T, String>
@@ -142,6 +163,18 @@ mod tests {
         assert!(err.contains("\"ten\""), "{err}");
         let err = parse_num_list(&a, "--n", &[0u32]).unwrap_err();
         assert!(err.contains("--n") && err.contains("\"ten\""), "{err}");
+    }
+
+    #[test]
+    fn unknown_flags_are_named() {
+        let known = |a: &[&str]| reject_unknown_flags(&args(a), "--dir --workers", "--degrade");
+        assert_eq!(known(&["--dir", "d", "--degrade", "--workers", "2"]), Ok(()));
+        // A value flag missing its value is not this check's error.
+        assert_eq!(known(&["--workers", "--degrade"]), Ok(()));
+        let err = known(&["--dir", "d", "--queue-capp", "8"]).unwrap_err();
+        assert!(err.contains("`--queue-capp`"), "{err}");
+        let err = known(&["--degrade", "stray"]).unwrap_err();
+        assert!(err.contains("`stray`"), "{err}");
     }
 
     #[test]

@@ -13,9 +13,10 @@
 //! when a task can *start* new work, not the latency of a single stage.
 //!
 //! The [`CancelToken`] carries the *external* stop requests: the batch
-//! token (`cancel_all`, cancel-mode shutdown) and the per-task token (the
-//! chaos `cancel` site, targeted job cancellation in `pobp serve`). Both
-//! are observed at the same yield points.
+//! token (`cancel_all`, or the caller's stop token of `Engine::run_task`,
+//! which is how `pobp serve` cancels one running job) and the per-task
+//! token (the chaos `cancel` site). Both are observed at the same yield
+//! points.
 
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
@@ -48,7 +49,7 @@ impl CancelToken {
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum StopReason {
     /// The task's own deadline passed, or its per-task token was cancelled
-    /// (chaos `cancel` site, targeted job cancellation).
+    /// (chaos `cancel` site).
     DeadlineExceeded,
     /// The batch-level token was cancelled.
     BatchCancelled,
@@ -58,10 +59,10 @@ pub enum StopReason {
 /// batch token, and the absolute deadline checked at every yield point.
 #[derive(Clone, Debug)]
 pub struct TaskCtx {
-    /// The task's own cancel token (chaos `cancel` site; targeted
-    /// cancellation).
+    /// The task's own cancel token (chaos `cancel` site).
     pub cancel: CancelToken,
-    /// Batch-wide token (cancels every task).
+    /// Batch-wide token (cancels every task), or the caller's stop token
+    /// for a single `Engine::run_task`.
     pub batch: CancelToken,
     /// Absolute wall-clock deadline, if the task has one.
     pub deadline: Option<Instant>,

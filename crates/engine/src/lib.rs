@@ -29,11 +29,10 @@
 //! * with [`EngineConfig::degrade`] on, tasks that exhaust retries or blow
 //!   their deadline fall back to the polynomial `LSA_CS`/`k = 0` algorithm
 //!   and report [`TaskResult::Degraded`] (still certified);
-//! * long-lived owners stop cleanly via [`Engine::shutdown`] — drain-then-
-//!   join or cancel-then-join, both of which refuse new batches and return
-//!   only once every worker thread has joined — and share one
-//!   content-addressed cache across many engines via
-//!   [`Engine::with_shared_cache`] (the `pobp serve` daemon's pattern);
+//! * a long-lived owner keeps one engine and runs single tasks on its own
+//!   threads via [`Engine::run_task`] — the same worker loop as a batch,
+//!   with a caller-owned stop token, deadline, and reusable workspace (the
+//!   `pobp serve` daemon's pattern);
 //! * with the `chaos` cargo feature, a seeded [`chaos::FaultPlan`] injects
 //!   panics, delays, spurious cancellations, forced deadlines, and
 //!   cache-entry corruption at named sites, deterministically per task —
@@ -90,5 +89,6 @@ pub use cert::{CertFailure, CertStage};
 #[cfg(feature = "chaos")]
 pub use chaos::{FaultPlan, FaultSite};
 pub use grid::GridSpec;
+pub use pobp_sched::SolveWorkspace;
 pub use pool::{run_batch, BatchReport, Engine, EngineConfig, EngineStats};
 pub use task::{Algo, DegradeCause, SolveOutput, SolveTask, TaskReport, TaskResult};

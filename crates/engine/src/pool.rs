@@ -7,7 +7,8 @@
 //! worker keeps the reports it produced and the pool merges them by input
 //! index after the join, so the returned order — and, because every solver
 //! is a pure function, the returned *content* — is independent of thread
-//! count, steal order, and completion order.
+//! count, steal order, and completion order. [`Engine::run_task`] drives
+//! the same worker loop for a single task on the caller's own thread.
 //!
 //! Deadlines and cancellation are purely *cooperative*: there is no
 //! watchdog thread. [`TaskCtx::should_stop`] compares the task's absolute
@@ -32,7 +33,7 @@
 
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
-use std::sync::{Arc, Condvar, Mutex};
+use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use pobp_core::obs::LogHistogram;
@@ -175,39 +176,13 @@ impl StatsCell {
     }
 }
 
-/// Lifecycle bookkeeping behind [`Engine::shutdown`]: how many `run_batch`
-/// calls are in flight, whether the engine has been closed to new batches,
-/// and a condvar to wait for the in-flight count to reach zero.
-#[derive(Debug, Default)]
-struct Lifecycle {
-    closed: AtomicBool,
-    active: Mutex<usize>,
-    idle: Condvar,
-}
-
-/// Drop guard that decrements the in-flight batch count and wakes any
-/// thread blocked in [`Engine::shutdown`]. A guard (not a manual decrement)
-/// so the count stays correct even if `run_batch` unwinds.
-struct BatchGuard<'a>(&'a Lifecycle);
-
-impl Drop for BatchGuard<'_> {
-    fn drop(&mut self) {
-        let mut active = self.0.active.lock().unwrap();
-        *active -= 1;
-        if *active == 0 {
-            self.0.idle.notify_all();
-        }
-    }
-}
-
-/// A reusable batch-solving engine: configuration, the shared result
-/// cache (persists across batches), and a batch-level cancel token.
+/// A reusable solving engine: configuration, the shared result cache
+/// (persists across batches and tasks), and a batch-level cancel token.
 #[derive(Debug, Default)]
 pub struct Engine {
     cfg: EngineConfig,
     cache: Arc<ResultCache>,
     batch: CancelToken,
-    lifecycle: Lifecycle,
     #[cfg(feature = "chaos")]
     chaos: Option<Arc<crate::chaos::FaultPlan>>,
 }
@@ -218,16 +193,14 @@ impl Engine {
         Engine::with_shared_cache(cfg, Arc::new(ResultCache::new()))
     }
 
-    /// An engine sharing an existing result cache. This is how a long-lived
-    /// service gives every per-job engine one content-addressed cache: the
-    /// engines are cheap (config + token + `Arc` handle) while the cache —
-    /// the expensive, shareable state — persists across all of them.
+    /// An engine sharing an existing result cache: the engines are cheap
+    /// (config + token + `Arc` handle) while the cache — the expensive,
+    /// shareable state — persists across all of them.
     pub fn with_shared_cache(cfg: EngineConfig, cache: Arc<ResultCache>) -> Self {
         Engine {
             cfg,
             cache,
             batch: CancelToken::new(),
-            lifecycle: Lifecycle::default(),
             #[cfg(feature = "chaos")]
             chaos: None,
         }
@@ -243,9 +216,9 @@ impl Engine {
         e
     }
 
-    /// Arms a fault plan on an already-built engine. A service building
-    /// per-job engines over a shared cache uses this to make every engine —
-    /// and the shared cache — fire the same deterministic plan.
+    /// Arms a fault plan on an already-built engine and on its cache, so a
+    /// long-lived owner holding the plan behind an `Arc` (the `pobp serve`
+    /// daemon) makes its jobs fire the same deterministic plan.
     #[cfg(feature = "chaos")]
     pub fn set_chaos(&mut self, plan: Arc<crate::chaos::FaultPlan>) {
         self.cache.set_chaos(Some(plan.clone()));
@@ -262,51 +235,11 @@ impl Engine {
         &self.cache
     }
 
-    /// A clonable handle to the result cache, for sharing with another
-    /// engine via [`Engine::with_shared_cache`].
-    pub fn cache_handle(&self) -> Arc<ResultCache> {
-        self.cache.clone()
-    }
-
     /// Cancels the current and all future batches of this engine: every
     /// task not yet finished reports [`TaskResult::Cancelled`].
+    /// [`Engine::run_task`] answers to its own stop token instead.
     pub fn cancel_all(&self) {
         self.batch.cancel();
-    }
-
-    /// Whether [`Engine::shutdown`] has closed this engine to new batches.
-    pub fn is_closed(&self) -> bool {
-        self.lifecycle.closed.load(Ordering::Acquire)
-    }
-
-    /// Stops the engine so its owner can exit cleanly: closes the engine to
-    /// new batches (a `run_batch` call after shutdown returns every task as
-    /// [`TaskResult::Cancelled`] without starting a pool) and blocks until
-    /// every in-flight batch has finished and joined its worker threads —
-    /// shutdown never leaks a thread.
-    ///
-    /// * `drain: true` — **drain-then-join**: in-flight batches run to
-    ///   completion; their tasks finish with whatever result they earn.
-    /// * `drain: false` — **cancel-then-join**: the batch token is
-    ///   cancelled first, so every task not yet past its last stage
-    ///   boundary reports [`TaskResult::Cancelled`]; the pool still joins
-    ///   all threads before shutdown returns.
-    ///
-    /// Idempotent: repeat calls (of either mode) return once the engine is
-    /// idle. After a `drain: false` shutdown the batch token stays
-    /// cancelled, like [`Engine::cancel_all`].
-    pub fn shutdown(&self, drain: bool) {
-        self.lifecycle.closed.store(true, Ordering::Release);
-        if drain {
-            obs_count!("engine.shutdown.drain");
-        } else {
-            obs_count!("engine.shutdown.cancel");
-            self.batch.cancel();
-        }
-        let mut active = self.lifecycle.active.lock().unwrap();
-        while *active > 0 {
-            active = self.lifecycle.idle.wait(active).unwrap();
-        }
     }
 
     /// Runs `tasks` across the configured worker pool and returns one
@@ -317,30 +250,6 @@ impl Engine {
         if n == 0 {
             return BatchReport { reports: Vec::new(), stats: stats.snapshot(0) };
         }
-        {
-            // Register this batch with the shutdown lifecycle. The closed
-            // check happens under the same lock that `shutdown` waits on,
-            // so a batch either registers before shutdown observes the
-            // in-flight count or sees the closed flag — never neither.
-            let mut active = self.lifecycle.active.lock().unwrap();
-            if self.lifecycle.closed.load(Ordering::Acquire) {
-                stats.cancelled.fetch_add(n, Ordering::Relaxed);
-                obs_count!("engine.batches.refused");
-                let reports = tasks
-                    .iter()
-                    .enumerate()
-                    .map(|(index, t)| TaskReport {
-                        index,
-                        label: t.label.clone(),
-                        attempts: 0,
-                        result: TaskResult::Cancelled,
-                    })
-                    .collect();
-                return BatchReport { reports, stats: stats.snapshot(n) };
-            }
-            *active += 1;
-        }
-        let _batch_guard = BatchGuard(&self.lifecycle);
         let threads = match self.cfg.threads {
             0 => std::thread::available_parallelism().map_or(1, |p| p.get()),
             t => t,
@@ -348,18 +257,17 @@ impl Engine {
         .min(n)
         .max(1);
 
-        // Enqueue marks: recorded by the submitting thread, in input order,
-        // before any worker exists — they sort ahead of every per-task
-        // event in the logical trace.
-        if trace::enabled() {
-            for i in 0..n {
-                let _ctx = trace::task_context(i as u64);
-                trace_event!("task.enqueue");
-            }
-        }
+        mark_enqueued(n);
         let progress = self.cfg.progress.then(|| Progress::new(n));
-
         let fabric = Fabric::new(n, threads);
+        let run = Run {
+            tasks,
+            fabric: &fabric,
+            stats: &stats,
+            stop: &self.batch,
+            deadline: self.cfg.deadline,
+            progress: progress.as_ref(),
+        };
         let pool_done = AtomicBool::new(false);
         let mut merged: Vec<Option<TaskReport>> = (0..n).map(|_| None).collect();
 
@@ -376,66 +284,8 @@ impl Engine {
             }
             let workers: Vec<_> = (0..threads)
                 .map(|w| {
-                    let fabric = &fabric;
-                    let stats = &stats;
-                    let progress = &progress;
-                    s.spawn(move || {
-                        // One scratch workspace per worker, reused across
-                        // every task this worker claims: steady-state solves
-                        // allocate only their outputs.
-                        let mut ws = SolveWorkspace::new();
-                        let mut rng = StealRng::new(w);
-                        // Reports stay worker-local until the merge after
-                        // the join — no shared report lock on the hot path.
-                        let mut local: Vec<TaskReport> = Vec::new();
-                        let mut busy = Duration::ZERO;
-                        let mut dispatched = 0u64;
-                        // Per-task clock reads feed only telemetry; skip
-                        // them when nothing consumes the numbers.
-                        let timed = pobp_core::obs::enabled() || progress.is_some();
-                        while !fabric.is_done() {
-                            let (unit, steals) = fabric.next_unit(w, &mut rng);
-                            if steals.attempts > 0 {
-                                stats
-                                    .steal_attempts
-                                    .fetch_add(steals.attempts, Ordering::Relaxed);
-                                stats.steal_hits.fetch_add(steals.hits, Ordering::Relaxed);
-                            }
-                            let Some(unit) = unit else {
-                                fabric.park();
-                                continue;
-                            };
-                            dispatched += 1;
-                            if dispatched > 1 {
-                                obs_count!("engine.ws.reuses");
-                            }
-                            let start = timed.then(Instant::now);
-                            let index = unit.index;
-                            let report = {
-                                let _task =
-                                    trace::task_scope(index as u64, &tasks[index].label);
-                                let report =
-                                    self.dispatch(w, unit, &tasks[index], stats, fabric, &mut ws);
-                                if let Some(r) = &report {
-                                    let _ = r; // only the trace feature reads it
-                                    trace_event!("emit", text: r.result.status());
-                                }
-                                report
-                            };
-                            let elapsed = start.map(|t| t.elapsed()).unwrap_or_default();
-                            busy += elapsed;
-                            if let Some(report) = report {
-                                if let Some(p) = progress {
-                                    p.record(&report.result, elapsed);
-                                }
-                                local.push(report);
-                                fabric.complete_one();
-                            }
-                        }
-                        obs_event!("engine.worker.busy_us", busy.as_micros() as u64);
-                        obs_event!("engine.ws.scratch_bytes", ws.scratch_bytes() as u64);
-                        local
-                    })
+                    let run = &run;
+                    s.spawn(move || self.work(run, w, &mut SolveWorkspace::new()))
                 })
                 .collect();
             // Join the workers before stopping the progress thread: a
@@ -459,6 +309,87 @@ impl Engine {
         BatchReport { reports, stats: stats.snapshot(n) }
     }
 
+    /// Runs one task on the calling thread, through the same worker loop
+    /// as [`Engine::run_batch`]: cache check and re-certification, retry
+    /// requeue, and the degradation ladder. `stop` stands in for the batch
+    /// token — cancelling it ends the task [`TaskResult::Cancelled`] at its
+    /// next stage boundary — and `deadline` for [`EngineConfig::deadline`].
+    /// `ws` is the caller's scratch workspace, reused across calls.
+    pub fn run_task(
+        &self,
+        task: &SolveTask,
+        stop: &CancelToken,
+        deadline: Option<Duration>,
+        ws: &mut SolveWorkspace,
+    ) -> TaskReport {
+        mark_enqueued(1);
+        let fabric = Fabric::new(1, 1);
+        let run = Run {
+            tasks: std::slice::from_ref(task),
+            fabric: &fabric,
+            stats: &StatsCell::default(),
+            stop,
+            deadline,
+            progress: None,
+        };
+        self.work(&run, 0, ws).pop().expect("a single task reports exactly once")
+    }
+
+    /// One worker's loop over `run`'s fabric until every task has
+    /// reported: claim a unit, dispatch it, park when nothing is runnable.
+    /// Returns the reports this worker produced; `ws` is its scratch
+    /// workspace, reused across every task it claims, so steady-state
+    /// solves allocate only their outputs.
+    fn work(&self, run: &Run<'_>, w: usize, ws: &mut SolveWorkspace) -> Vec<TaskReport> {
+        let mut rng = StealRng::new(w);
+        // Reports stay worker-local until the merge after the join — no
+        // shared report lock on the hot path.
+        let mut local: Vec<TaskReport> = Vec::new();
+        let mut busy = Duration::ZERO;
+        let mut dispatched = 0u64;
+        // Per-task clock reads feed only telemetry; skip them when nothing
+        // consumes the numbers.
+        let timed = pobp_core::obs::enabled() || run.progress.is_some();
+        while !run.fabric.is_done() {
+            let (unit, steals) = run.fabric.next_unit(w, &mut rng);
+            if steals.attempts > 0 {
+                run.stats.steal_attempts.fetch_add(steals.attempts, Ordering::Relaxed);
+                run.stats.steal_hits.fetch_add(steals.hits, Ordering::Relaxed);
+            }
+            let Some(unit) = unit else {
+                run.fabric.park();
+                continue;
+            };
+            dispatched += 1;
+            if dispatched > 1 {
+                obs_count!("engine.ws.reuses");
+            }
+            let start = timed.then(Instant::now);
+            let index = unit.index;
+            let report = {
+                let _task = trace::task_scope(index as u64, &run.tasks[index].label);
+                let report = self.dispatch(run, w, unit, ws);
+                if let Some(r) = &report {
+                    let _ = r; // only the trace feature reads it
+                    trace_event!("emit", text: r.result.status());
+                }
+                report
+            };
+            let elapsed = start.map(|t| t.elapsed()).unwrap_or_default();
+            busy += elapsed;
+            if let Some(report) = report {
+                if let Some(p) = run.progress {
+                    p.record(&report.result, elapsed);
+                }
+                local.push(report);
+                run.fabric.complete_one();
+            }
+        }
+        obs_event!("engine.worker.busy_us", busy.as_micros() as u64);
+        obs_event!("engine.ws.scratch_bytes", ws.scratch_bytes() as u64);
+        local
+    }
+
     /// Runs one dispatched attempt of a unit: the cache check on the first
     /// dispatch (hits are re-certified), a single attempt under
     /// `catch_unwind`, the degradation ladder, terminal accounting. Returns
@@ -467,14 +398,14 @@ impl Engine {
     /// will dispatch it again once the backoff passes.
     fn dispatch(
         &self,
+        run: &Run<'_>,
         worker: usize,
         mut unit: Unit,
-        task: &SolveTask,
-        stats: &StatsCell,
-        fabric: &Fabric,
         ws: &mut SolveWorkspace,
     ) -> Option<TaskReport> {
         let index = unit.index;
+        let task = &run.tasks[index];
+        let stats = run.stats;
         let cache = self.cfg.use_cache.then_some(&*self.cache);
         let inst = cache.map(|_| instance_hash(&task.instance));
         if let Some(c) = cache.filter(|_| unit.attempts == 0) {
@@ -541,11 +472,11 @@ impl Engine {
                     }
                 }
             }
-            unit.deadline_at = self.cfg.deadline.map(|d| Instant::now() + d);
+            unit.deadline_at = run.deadline.map(|d| Instant::now() + d);
         }
         let ctx = TaskCtx {
             cancel: unit.token.clone().expect("token initialised at first dispatch"),
-            batch: self.batch.clone(),
+            batch: run.stop.clone(),
             deadline: unit.deadline_at,
             #[cfg(feature = "chaos")]
             chaos: unit.chaos.clone(),
@@ -607,7 +538,7 @@ impl Engine {
             }
             Ok(Err(SolveFailure::Stopped(StopReason::DeadlineExceeded))) => {
                 trace_event!("stop.deadline");
-                match self.try_degrade(task, DegradeCause::DeadlineExceeded, stats, ws) {
+                match self.try_degrade(task, DegradeCause::DeadlineExceeded, run, ws) {
                     Some(rescued) => rescued,
                     None => {
                         obs_count!("engine.tasks.timed_out");
@@ -637,13 +568,13 @@ impl Engine {
                         .saturating_mul(1u32 << exp)
                         .min(Duration::from_millis(100));
                     if pause.is_zero() {
-                        fabric.push_slot(worker, unit);
+                        run.fabric.push_slot(worker, unit);
                     } else {
-                        fabric.push_delayed(Instant::now() + pause, unit);
+                        run.fabric.push_delayed(Instant::now() + pause, unit);
                     }
                     return None;
                 }
-                match self.try_degrade(task, DegradeCause::RetriesExhausted, stats, ws) {
+                match self.try_degrade(task, DegradeCause::RetriesExhausted, run, ws) {
                     Some(rescued) => rescued,
                     None => {
                         obs_count!("engine.tasks.panicked");
@@ -661,7 +592,7 @@ impl Engine {
     /// the online greedy for online tasks — an online measurement is never
     /// rescued by an offline algorithm), greedy reference, no deadline, no
     /// cache, no chaos — but still
-    /// honoring the batch token — and certify the result like any other.
+    /// honoring the stop token — and certify the result like any other.
     /// Returns `None` when degradation is off, the task is the test-only
     /// panicking algorithm, or the fallback itself fails (the original
     /// failure then stands).
@@ -669,7 +600,7 @@ impl Engine {
         &self,
         task: &SolveTask,
         cause: DegradeCause,
-        stats: &StatsCell,
+        run: &Run<'_>,
         ws: &mut SolveWorkspace,
     ) -> Option<TaskResult> {
         if !self.cfg.degrade || task.algo == Algo::PanicForTest {
@@ -695,7 +626,7 @@ impl Engine {
         };
         let ctx = TaskCtx {
             cancel: CancelToken::new(),
-            batch: self.batch.clone(),
+            batch: run.stop.clone(),
             deadline: None,
             #[cfg(feature = "chaos")]
             chaos: None,
@@ -710,7 +641,7 @@ impl Engine {
                     obs_count!("engine.degrade.rescued");
                     obs_count!("engine.cert.ok");
                     trace_event!("degrade.rescued", text: fallback.name());
-                    stats.degraded.fetch_add(1, Ordering::Relaxed);
+                    run.stats.degraded.fetch_add(1, Ordering::Relaxed);
                     Some(TaskResult::Degraded { fallback, cause, output: solved.output })
                 }
                 _ => {
@@ -720,6 +651,30 @@ impl Engine {
                 }
             }
         })
+    }
+}
+
+/// What one worker loop shares with the others of its call: the tasks,
+/// their fabric and accounting, the stop token that plays the batch token
+/// in every [`TaskCtx`], the per-task deadline, and the progress meter.
+struct Run<'a> {
+    tasks: &'a [SolveTask],
+    fabric: &'a Fabric,
+    stats: &'a StatsCell,
+    stop: &'a CancelToken,
+    deadline: Option<Duration>,
+    progress: Option<&'a Progress>,
+}
+
+/// Enqueue marks: recorded by the submitting thread, in input order,
+/// before any worker runs — they sort ahead of every per-task event in the
+/// logical trace.
+fn mark_enqueued(n: usize) {
+    if trace::enabled() {
+        for i in 0..n {
+            let _ctx = trace::task_context(i as u64);
+            trace_event!("task.enqueue");
+        }
     }
 }
 

@@ -2,11 +2,12 @@
 //! isolation, retry accounting, deadlines, cancellation, caching, and the
 //! terminal-kind partition invariant.
 
+use std::sync::Arc;
 use std::time::Duration;
 
 use pobp_engine::{
-    instance_hash, run_batch, Algo, CertStage, DegradeCause, Engine, EngineConfig, GridSpec,
-    SolveTask, TaskResult,
+    instance_hash, run_batch, Algo, CancelToken, CertStage, DegradeCause, Engine, EngineConfig,
+    GridSpec, ResultCache, SolveTask, SolveWorkspace, TaskResult,
 };
 
 /// One worker thread and no retry: the fully sequential reference setup.
@@ -254,6 +255,56 @@ fn tampered_cache_entry_fails_certification_instead_of_leaking() {
     assert!(reason.contains("value"), "got: {reason}");
     assert_eq!(second.stats.cert_failed, 1);
     assert_eq!(second.stats.cached, 0);
+}
+
+#[test]
+fn shared_cache_spans_engines() {
+    // Two engines over one cache: the second serves the first's results as
+    // cache hits.
+    let cache = Arc::new(ResultCache::new());
+    let tasks = grid_tasks();
+    let first = Engine::with_shared_cache(sequential(), Arc::clone(&cache)).run_batch(&tasks);
+    let second = Engine::with_shared_cache(sequential(), cache).run_batch(&tasks);
+    assert_eq!(second.stats.cached, tasks.len(), "shared cache should answer the rerun");
+    for (x, y) in first.reports.iter().zip(&second.reports) {
+        assert_eq!(x.result.output(), y.result.output());
+    }
+}
+
+#[test]
+fn run_task_goes_through_the_batch_worker_loop() {
+    let tasks = grid_tasks();
+    let batch = run_batch(&tasks, sequential());
+    let engine = Engine::new(sequential());
+    let mut ws = SolveWorkspace::new();
+    let stop = CancelToken::new();
+    for (i, task) in tasks.iter().enumerate() {
+        let r = engine.run_task(task, &stop, None, &mut ws);
+        assert_eq!((r.index, &r.result), (0, &batch.reports[i].result), "task {i}");
+    }
+    // A repeat is answered from the engine's cache: re-certified, no attempt.
+    let again = engine.run_task(&tasks[0], &stop, None, &mut ws);
+    assert_eq!((again.attempts, &again.result), (0, &batch.reports[0].result));
+    // Panics are retried through the same requeue path.
+    let retrying = Engine::new(EngineConfig {
+        max_retries: 2,
+        backoff: Duration::from_millis(1),
+        ..sequential()
+    });
+    let panicky = SolveTask::new(tasks[0].instance.clone(), 1, Algo::PanicForTest);
+    let r = retrying.run_task(&panicky, &stop, None, &mut ws);
+    assert!(matches!(r.result, TaskResult::Panicked { .. }), "{:?}", r.result);
+    assert_eq!(r.attempts, 3);
+    // A spent deadline times out; the degradation ladder rescues it.
+    let r = Engine::new(sequential()).run_task(&tasks[1], &stop, Some(Duration::ZERO), &mut ws);
+    assert_eq!(r.result, TaskResult::TimedOut);
+    let degrading = Engine::new(EngineConfig { degrade: true, ..sequential() });
+    let r = degrading.run_task(&tasks[1], &stop, Some(Duration::ZERO), &mut ws);
+    assert!(matches!(r.result, TaskResult::Degraded { .. }), "{:?}", r.result);
+    // The stop token plays the batch token: a cancel is never a timeout.
+    stop.cancel();
+    let r = Engine::new(sequential()).run_task(&tasks[1], &stop, Some(Duration::ZERO), &mut ws);
+    assert_eq!(r.result, TaskResult::Cancelled);
 }
 
 /// The obs acceptance criterion: with the feature on, the engine's terminal

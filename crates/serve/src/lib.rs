@@ -17,7 +17,7 @@
 //! * [`job`] — [`JobSpec`]/[`JobStatus`]: the job model and content key.
 //! * [`registry`] — the event-sourced id → record map.
 //! * [`journal`] — append-only persistence + snapshot compaction.
-//! * [`service`] — admission, the priority queue, workers, per-job engines.
+//! * [`service`] — admission, the priority queue, workers, the daemon engine.
 //! * [`proto`] — request lines → [`service`] calls → response lines.
 //! * [`server`] / [`client`] — the TCP front end and its client.
 //! * [`soak`] — the randomized invariant-checking harness

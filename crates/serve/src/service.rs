@@ -25,9 +25,17 @@
 //! Two layers. Submissions whose [content key](JobSpec::content_key)
 //! matches an already-finished certified job short-circuit the queue
 //! entirely: the daemon journals `Submit` + `Finish` with the stored result
-//! and bumps `serve.cache.hits`. Below that, every per-job engine shares
-//! one [`ResultCache`], so even concurrent duplicate jobs that miss the
+//! and bumps `serve.cache.hits`. Below that, the daemon's one [`Engine`]
+//! owns one result cache, so even concurrent duplicate jobs that miss the
 //! serve layer reuse reference solutions and solver results.
+//!
+//! # Execution
+//!
+//! The daemon builds that engine once, at start. Each worker thread runs
+//! the job it claimed on itself through [`Engine::run_task`], with a
+//! per-job [`CancelToken`] (kept in the running map for targeted cancel
+//! and cancel-mode stop) and one scratch workspace the worker reuses for
+//! every job it runs. `--workers` is the daemon's only parallelism knob.
 
 use std::collections::{BinaryHeap, HashMap};
 use std::io;
@@ -47,7 +55,9 @@ use pobp_core::metrics::{MetricsWindow, Prom, Sample};
 #[cfg(feature = "telemetry")]
 use pobp_core::obs::LogHistogram;
 use pobp_core::{obs_count, obs_event, obs_span, trace_event};
-use pobp_engine::{Algo, Engine, EngineConfig, ResultCache, TaskReport, TaskResult};
+use pobp_engine::{
+    Algo, CancelToken, Engine, EngineConfig, SolveWorkspace, TaskReport, TaskResult,
+};
 
 use crate::job::{JobSpec, JobStatus};
 use crate::journal::{recovery_json, Journal, RecoveryReport, DEFAULT_COMPACT_EVERY};
@@ -62,15 +72,12 @@ pub struct ServiceConfig {
     /// Registry directory (journal + snapshot). Created if missing.
     pub dir: PathBuf,
     /// Concurrent job workers (each runs one job at a time on its own
-    /// engine). `0` starts no workers: jobs queue but never run — the
+    /// thread). `0` starts no workers: jobs queue but never run — the
     /// admission tests use this to saturate the queue deterministically;
     /// the CLI never passes it.
     pub workers: usize,
     /// Admission bound: maximum jobs in [`JobStatus::Queued`] at once.
     pub queue_cap: usize,
-    /// Engine threads per job (`0` = hardware parallelism). Kept at 1 by
-    /// default so `workers` is the daemon's parallelism knob.
-    pub engine_threads: usize,
     /// Arm the engine's graceful-degradation ladder for deadline overruns
     /// (see `docs/robustness.md`).
     pub degrade: bool,
@@ -92,7 +99,6 @@ impl Default for ServiceConfig {
             dir: PathBuf::from("pobp-serve-registry"),
             workers: 2,
             queue_cap: 64,
-            engine_threads: 1,
             degrade: false,
             compact_every: DEFAULT_COMPACT_EVERY,
             #[cfg(feature = "chaos")]
@@ -136,10 +142,10 @@ pub enum CancelOutcome {
     /// The job had already reached this terminal state.
     AlreadyTerminal(JobStatus),
     /// The job was still queued: journalled cancelled; it will never reach
-    /// an engine.
+    /// the engine.
     CancelledQueued,
-    /// The job was running: its engine was signalled; the worker journals
-    /// the terminal state when the engine returns.
+    /// The job was running: its stop token was signalled; the worker
+    /// journals the terminal state when the engine returns.
     SignalledRunning,
 }
 
@@ -164,11 +170,6 @@ pub struct ServeCounters {
     pub cancelled: u64,
     /// Jobs re-queued by crash recovery.
     pub requeued: u64,
-    /// Victim probes made by the engines' work-stealing workers, summed
-    /// over finished jobs (scheduling telemetry; never affects results).
-    pub engine_steal_attempts: u64,
-    /// Steal probes that landed work, summed over finished jobs.
-    pub engine_steal_hits: u64,
 }
 
 /// Priority-queue entry: max-heap on `(priority, −id)` — higher priority
@@ -199,8 +200,8 @@ struct State {
     /// Jobs in [`JobStatus::Queued`] (the admission-bounded quantity; the
     /// heap may additionally hold stale entries for cancelled jobs).
     queued: usize,
-    /// Per-running-job engines, for targeted cancel.
-    running: HashMap<u64, Arc<Engine>>,
+    /// Stop tokens of the running jobs, for targeted cancel.
+    running: HashMap<u64, CancelToken>,
     /// Content key → finished certified job id, for cross-request reuse.
     key_index: HashMap<u64, u64>,
     counters: ServeCounters,
@@ -225,7 +226,8 @@ struct Telemetry {
 
 struct Inner {
     cfg: ServiceConfig,
-    cache: Arc<ResultCache>,
+    /// The one engine every worker runs its jobs through.
+    engine: Engine,
     state: Mutex<State>,
     work_ready: Condvar,
     stopping: AtomicBool,
@@ -292,9 +294,20 @@ impl Service {
         let counters = ServeCounters { requeued: pending.len() as u64, ..Default::default() };
         obs_count!("serve.recover.requeued", pending.len() as u64);
         let queued = pending.len();
+        #[cfg_attr(not(feature = "chaos"), allow(unused_mut))]
+        let mut engine =
+            Engine::new(EngineConfig { degrade: cfg.degrade, ..EngineConfig::default() });
+        // The daemon's fault plan covers the engine too, not just the
+        // journal: solver-side sites (panic, corrupt-ref, …) fire per task
+        // key inside jobs, which is how the CI flight-recorder drill forces
+        // a CertFailed through the daemon.
+        #[cfg(feature = "chaos")]
+        if let Some(plan) = &cfg.chaos {
+            engine.set_chaos(Arc::clone(plan));
+        }
         let inner = Arc::new(Inner {
             cfg: cfg.clone(),
-            cache: Arc::new(ResultCache::new()),
+            engine,
             state: Mutex::new(State {
                 registry,
                 journal,
@@ -421,15 +434,16 @@ impl Service {
     }
 
     /// Cancels a job: queued jobs are journalled cancelled on the spot and
-    /// never reach an engine; running jobs have their engine signalled.
+    /// never reach the engine; running jobs have their stop token
+    /// signalled.
     pub fn cancel(&self, id: u64) -> CancelOutcome {
         let mut state = self.inner.state.lock().unwrap();
         let Some(job) = state.registry.get(id) else { return CancelOutcome::NotFound };
         match job.status {
             s if s.is_terminal() => CancelOutcome::AlreadyTerminal(s),
             JobStatus::Running => {
-                if let Some(engine) = state.running.get(&id) {
-                    engine.cancel_all();
+                if let Some(stop) = state.running.get(&id) {
+                    stop.cancel();
                 }
                 trace_event!("serve.cancel.running", id);
                 CancelOutcome::SignalledRunning
@@ -490,8 +504,6 @@ impl Service {
             ("degraded", Json::Num(c.degraded as f64)),
             ("failed", Json::Num(c.failed as f64)),
             ("cancelled", Json::Num(c.cancelled as f64)),
-            ("engine_steal_attempts", Json::Num(c.engine_steal_attempts as f64)),
-            ("engine_steal_hits", Json::Num(c.engine_steal_hits as f64)),
             ("journal_seq", Json::Num(state.journal.seq() as f64)),
             ("compactions", Json::Num(state.journal.compactions() as f64)),
             ("recovery", recovery_json(&state.recovery)),
@@ -624,18 +636,6 @@ impl Service {
         for (alg, n) in self.inner.telemetry.per_alg_done.lock().unwrap().iter() {
             p.sample("pobp_serve_jobs_done_by_alg_total", &[("alg", alg)], *n as f64);
         }
-        p.header(
-            "pobp_serve_engine_steal_attempts_total",
-            "counter",
-            "Work-steal victim probes made by job engines (scheduling telemetry).",
-        )
-        .sample("pobp_serve_engine_steal_attempts_total", &[], counter("engine_steal_attempts"));
-        p.header(
-            "pobp_serve_engine_steal_hits_total",
-            "counter",
-            "Work-steal probes that landed work in job engines.",
-        )
-        .sample("pobp_serve_engine_steal_hits_total", &[], counter("engine_steal_hits"));
         p.header("pobp_serve_queue_depth", "gauge", "Jobs currently queued.")
             .sample("pobp_serve_queue_depth", &[], gauge("queued"));
         p.header("pobp_serve_queue_cap", "gauge", "Admission bound on queued jobs.")
@@ -724,7 +724,7 @@ impl Service {
     }
 
     /// Stops the daemon. `drain: true` finishes every queued job first;
-    /// `drain: false` cancels running engines and leaves the rest of the
+    /// `drain: false` cancels running jobs and leaves the rest of the
     /// queue journalled as queued (a restart re-runs it). Joins the worker
     /// pool and writes a final snapshot. Idempotent and blocking: the first
     /// caller's `drain` wins, concurrent callers wait until the sequence
@@ -739,8 +739,8 @@ impl Service {
                 // next task boundary and journal the cancelled outcome
                 // themselves.
                 let state = self.inner.state.lock().unwrap();
-                for engine in state.running.values() {
-                    engine.cancel_all();
+                for stop in state.running.values() {
+                    stop.cancel();
                 }
             }
             self.inner.work_ready.notify_all();
@@ -781,8 +781,6 @@ fn capture_sample(inner: &Inner) -> Sample {
         .counter("failed", c.failed)
         .counter("cancelled", c.cancelled)
         .counter("requeued", c.requeued)
-        .counter("engine_steal_attempts", c.engine_steal_attempts)
-        .counter("engine_steal_hits", c.engine_steal_hits)
         .counter("finished", finished)
         .counter("journal_appends", state.journal.seq())
         .gauge("queued", state.queued as f64)
@@ -842,8 +840,9 @@ fn flight_on_failure(inner: &Inner, reason: &str) {
 }
 
 /// One worker: claim highest-priority queued job → journal `Start` → run it
-/// on a fresh engine sharing the daemon cache → journal `Finish`.
+/// on this thread through the daemon engine → journal `Finish`.
 fn worker_loop(inner: &Inner) {
+    let mut ws = SolveWorkspace::new();
     loop {
         let mut state = inner.state.lock().unwrap();
         let id = loop {
@@ -851,7 +850,7 @@ fn worker_loop(inner: &Inner) {
             while let Some(entry) = state.queue.pop() {
                 // Jobs cancelled while queued keep their (stale) heap entry;
                 // this status re-check is what guarantees they never reach
-                // an engine.
+                // the engine.
                 if state.registry.get(entry.id).map(|j| j.status) == Some(JobStatus::Queued) {
                     claimed = Some(entry.id);
                     break;
@@ -881,36 +880,16 @@ fn worker_loop(inner: &Inner) {
         }
         state.registry.apply(&start);
         state.queued = state.queued.saturating_sub(1);
-        let engine = Arc::new({
-            #[cfg_attr(not(feature = "chaos"), allow(unused_mut))]
-            let mut engine = Engine::with_shared_cache(
-                EngineConfig {
-                    threads: inner.cfg.engine_threads,
-                    deadline: spec.deadline_ms.map(Duration::from_millis),
-                    degrade: inner.cfg.degrade,
-                    ..EngineConfig::default()
-                },
-                Arc::clone(&inner.cache),
-            );
-            // The daemon's fault plan covers the engines too, not just the
-            // journal: solver-side sites (panic, corrupt-ref, …) fire
-            // per task key inside jobs, which is how the CI flight-recorder
-            // drill forces a CertFailed through the daemon.
-            #[cfg(feature = "chaos")]
-            if let Some(plan) = &inner.cfg.chaos {
-                engine.set_chaos(Arc::clone(plan));
-            }
-            engine
-        });
-        state.running.insert(id, Arc::clone(&engine));
+        let stop = CancelToken::new();
+        state.running.insert(id, stop.clone());
         drop(state);
         trace_event!("serve.claim", id);
         let task = spec.task();
         #[cfg(feature = "telemetry")]
         let job_started = Instant::now();
-        let report = obs_span!("serve.job", engine.run_batch(std::slice::from_ref(&task)));
-        let engine_stats = report.stats;
-        let task_report = report.reports.into_iter().next().expect("batch of one");
+        let deadline = spec.deadline_ms.map(Duration::from_millis);
+        let task_report =
+            obs_span!("serve.job", inner.engine.run_task(&task, &stop, deadline, &mut ws));
         #[cfg(feature = "telemetry")]
         {
             inner.telemetry.latency_ms.record(job_started.elapsed().as_millis() as u64);
@@ -925,8 +904,6 @@ fn worker_loop(inner: &Inner) {
         let result = task_result_json(&task_report);
         let mut state = inner.state.lock().unwrap();
         state.running.remove(&id);
-        state.counters.engine_steal_attempts += engine_stats.steal_attempts as u64;
-        state.counters.engine_steal_hits += engine_stats.steal_hits as u64;
         let finish = Event::Finish { id, result };
         if let Err(e) = state.journal.append(&finish) {
             eprintln!("serve: journal append failed on finish({id}): {e}");

@@ -25,7 +25,6 @@ fn cfg(dir: &Path, workers: usize, queue_cap: usize) -> ServiceConfig {
         dir: dir.to_path_buf(),
         workers,
         queue_cap,
-        engine_threads: 1,
         degrade: false,
         compact_every: 10_000,
         #[cfg(feature = "chaos")]
@@ -281,5 +280,93 @@ fn metrics_json_tracks_finished_jobs_and_cache_hits() {
     assert_eq!(algs[0].0, "reduction");
     assert_eq!(num(&algs[0].1, "done"), 1.0, "the cache hit must not double-count");
     service.stop(true);
+    fs::remove_dir_all(&dir).ok();
+}
+
+/// A job whose reference stage runs long enough (seconds in a debug build,
+/// a large fraction of a second in release) that the test can act on it
+/// while it is running: stop requests land before its next stage boundary.
+fn slow_spec(seed: u64) -> JobSpec {
+    let mut s = JobSpec::cell(Algo::Reduction, 2000, 1, seed);
+    s.name = format!("slow-{seed}");
+    s
+}
+
+/// Polls until job `id` has been claimed by a worker.
+fn wait_running(service: &Service, id: u64) {
+    for _ in 0..60_000 {
+        match service.job(id).map(|j| j.status) {
+            Some(JobStatus::Running) => return,
+            Some(JobStatus::Queued) => std::thread::sleep(Duration::from_millis(1)),
+            other => panic!("job {id} left the queue as {other:?} before it was seen running"),
+        }
+    }
+    panic!("job {id} was never claimed");
+}
+
+/// The `status` field of a finished job's journalled result.
+fn result_status(service: &Service, id: u64) -> String {
+    let job = service.job(id).unwrap();
+    let result = job.result.unwrap_or_else(|| panic!("job {id} has no result"));
+    result.get("status").and_then(Json::as_str).unwrap().to_string()
+}
+
+#[test]
+fn cancelling_a_running_job_ends_it_cancelled() {
+    let dir = tmpdir("cancelrunning");
+    let service = Service::start(cfg(&dir, 1, 8)).unwrap();
+    let id = accepted_id(service.submit(slow_spec(1)).unwrap());
+    wait_running(&service, id);
+    assert_eq!(service.cancel(id), CancelOutcome::SignalledRunning);
+    assert!(service.quiesce(Duration::from_secs(300)), "cancelled job never finished");
+    assert_eq!(service.job(id).unwrap().status, JobStatus::Cancelled);
+    assert_eq!(result_status(&service, id), "cancelled", "a cancel must never read as a timeout");
+    assert_eq!(service.counters().cancelled, 1);
+    assert_eq!(service.cancel(id), CancelOutcome::AlreadyTerminal(JobStatus::Cancelled));
+    service.stop(true);
+    fs::remove_dir_all(&dir).ok();
+}
+
+#[test]
+fn job_deadlines_time_out_or_degrade() {
+    // A 1 ms deadline is always past by the reference→bounded boundary.
+    let mut tight = JobSpec::cell(Algo::Reduction, 300, 1, 5);
+    tight.deadline_ms = Some(1);
+    for (degrade, status, result) in
+        [(false, JobStatus::Failed, "timed_out"), (true, JobStatus::Degraded, "degraded")]
+    {
+        let dir = tmpdir(&format!("deadline-{degrade}"));
+        let service = Service::start(ServiceConfig { degrade, ..cfg(&dir, 1, 8) }).unwrap();
+        let id = accepted_id(service.submit(tight.clone()).unwrap());
+        assert!(service.quiesce(Duration::from_secs(300)), "job never finished");
+        assert_eq!(service.job(id).unwrap().status, status, "degrade: {degrade}");
+        assert_eq!(result_status(&service, id), result, "degrade: {degrade}");
+        service.stop(true);
+        fs::remove_dir_all(&dir).ok();
+    }
+}
+
+#[test]
+fn cancel_mode_stop_cancels_the_running_job_and_keeps_the_queue() {
+    let dir = tmpdir("stopcancel");
+    {
+        let service = Service::start(cfg(&dir, 1, 8)).unwrap();
+        let running = accepted_id(service.submit(slow_spec(2)).unwrap()); // id 1
+        wait_running(&service, running);
+        accepted_id(service.submit(spec(0, 0)).unwrap()); // id 2
+        accepted_id(service.submit(spec(1, 0)).unwrap()); // id 3
+        service.stop(false);
+        assert_eq!(service.job(running).unwrap().status, JobStatus::Cancelled);
+        assert_eq!(result_status(&service, running), "cancelled");
+    }
+    // The next daemon finds the cancelled job terminal and the two queued
+    // jobs still queued, requeued for it to run.
+    let service = Service::start(cfg(&dir, 0, 8)).unwrap();
+    assert_eq!(service.job(1).unwrap().status, JobStatus::Cancelled);
+    for id in [2, 3] {
+        assert_eq!(service.job(id).unwrap().status, JobStatus::Queued, "job {id}");
+    }
+    assert_eq!(service.counters().requeued, 2);
+    service.stop(false);
     fs::remove_dir_all(&dir).ok();
 }

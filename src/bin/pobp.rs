@@ -15,7 +15,7 @@
 
 use pobp::cli::{
     flag, flag_value, has_flag, parse_num, parse_num_list_strict,
-    parse_num_strict,
+    parse_num_strict, reject_unknown_flags,
 };
 use pobp::prelude::*;
 use pobp::sweep::rows::{format_row, json_escape};
@@ -129,7 +129,7 @@ USAGE:
               [--trace FILE] [--trace-logical FILE]
                                                  (competitive-ratio lab, JSON lines)
   pobp serve [--addr HOST:PORT] [--dir DIR] [--workers N] [--queue-cap N]
-             [--engine-threads N] [--degrade] [--compact-every N]
+             [--degrade] [--compact-every N]
              [--metrics-addr HOST:PORT] [--sample-ms MS] [--flight-dir DIR]
                                                  (scheduling daemon, docs/serve.md)
 
@@ -791,6 +791,15 @@ fn cmd_online(args: &[String]) -> Result<(), String> {
 /// the `shutdown` op. `--addr` with port `0` lets the OS pick (scripts
 /// scrape the printed address).
 fn cmd_serve(args: &[String]) -> Result<(), String> {
+    // Feature-gated flags are known in every build: they fail below with
+    // a message saying which feature they need.
+    reject_unknown_flags(
+        args,
+        "--addr --dir --workers --queue-cap --compact-every --metrics-addr --sample-ms \
+         --flight-dir --chaos --chaos-seed --obs-out --trace --trace-logical",
+        "--degrade --obs",
+    )
+    .map_err(|e| format!("serve: {e}"))?;
     let addr = flag_value(args, "--addr")?.unwrap_or_else(|| "127.0.0.1:7411".into());
     let dir = flag_value(args, "--dir")?.unwrap_or_else(|| "pobp-serve-registry".into());
     #[cfg(not(feature = "chaos"))]
@@ -825,7 +834,6 @@ fn cmd_serve(args: &[String]) -> Result<(), String> {
         dir: dir.into(),
         workers: parse_num_strict(args, "--workers", 2usize)?.max(1),
         queue_cap: parse_num_strict(args, "--queue-cap", 64usize)?.max(1),
-        engine_threads: parse_num_strict(args, "--engine-threads", 1usize)?,
         degrade: has_flag(args, "--degrade"),
         compact_every: parse_num_strict(args, "--compact-every", 256u64)?,
         #[cfg(feature = "chaos")]

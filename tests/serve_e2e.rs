@@ -154,4 +154,35 @@ fn serve_flag_errors_are_loud() {
         .unwrap();
     assert!(!out.status.success());
     assert!(String::from_utf8_lossy(&out.stderr).contains("--workers"));
+    // Unknown flags — a retired one and a typo — are rejected by name
+    // before binding, instead of booting a daemon on defaults. A daemon
+    // that wrongly starts is killed, and the case fails.
+    let dir = std::env::temp_dir().join(format!("pobp-serve-flags-{}", std::process::id()));
+    for (flag, value) in [("--engine-threads", "4"), ("--queue-capp", "8")] {
+        let mut child = Command::new(POBP)
+            .args(["serve", "--addr", "127.0.0.1:0", "--dir"])
+            .arg(&dir)
+            .args([flag, value])
+            .stdout(Stdio::null())
+            .stderr(Stdio::piped())
+            .spawn()
+            .unwrap();
+        let status = (0..200).find_map(|_| {
+            let status = child.try_wait().unwrap();
+            if status.is_none() {
+                std::thread::sleep(Duration::from_millis(25));
+            }
+            status
+        });
+        let Some(status) = status else {
+            child.kill().unwrap();
+            child.wait().unwrap();
+            panic!("`pobp serve {flag} {value}` started a daemon");
+        };
+        assert!(!status.success());
+        let mut stderr = String::new();
+        std::io::Read::read_to_string(&mut child.stderr.take().unwrap(), &mut stderr).unwrap();
+        assert!(stderr.contains(flag), "error must name {flag}: {stderr}");
+    }
+    assert!(!dir.exists(), "a rejected daemon must not create its registry");
 }
