@@ -31,6 +31,7 @@
 //!   chaos-free, and reports [`TaskResult::Degraded`] when that rescue
 //!   lands.
 
+use std::collections::HashMap;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::Arc;
@@ -245,6 +246,26 @@ impl Engine {
     /// Runs `tasks` across the configured worker pool and returns one
     /// report per task, in input order.
     pub fn run_batch(&self, tasks: &[SolveTask]) -> BatchReport {
+        self.run_tasks(tasks, None)
+    }
+
+    /// [`Engine::run_batch`] for an engine's only batch: the engine is
+    /// dropped afterwards, so unless its cache is shared
+    /// ([`Engine::with_shared_cache`]) nothing outside the batch can read
+    /// the result layer. A task then stores its result-layer entry only when
+    /// another task of the batch has the same key — every member of such a
+    /// group stores, so the first to finish answers the rest whatever order
+    /// they run in. Grid sweeps hold no duplicate keys and store nothing.
+    pub fn run_once(self, tasks: &[SolveTask]) -> BatchReport {
+        let keep = (self.cfg.use_cache && Arc::strong_count(&self.cache) == 1)
+            .then(|| duplicated_keys(tasks));
+        self.run_tasks(tasks, keep.as_deref())
+    }
+
+    /// The batch runner behind [`Engine::run_batch`] and
+    /// [`Engine::run_once`]; `keep` marks the tasks that store a
+    /// result-layer entry (`None`: all of them).
+    fn run_tasks(&self, tasks: &[SolveTask], keep: Option<&[bool]>) -> BatchReport {
         let n = tasks.len();
         let stats = StatsCell::default();
         if n == 0 {
@@ -267,6 +288,7 @@ impl Engine {
             stop: &self.batch,
             deadline: self.cfg.deadline,
             progress: progress.as_ref(),
+            keep,
         };
         let pool_done = AtomicBool::new(false);
         let mut merged: Vec<Option<TaskReport>> = (0..n).map(|_| None).collect();
@@ -331,6 +353,7 @@ impl Engine {
             stop,
             deadline,
             progress: None,
+            keep: None,
         };
         self.work(&run, 0, ws).pop().expect("a single task reports exactly once")
     }
@@ -514,7 +537,7 @@ impl Engine {
                 if solved.ref_hit {
                     stats.ref_cache_hits.fetch_add(1, Ordering::Relaxed);
                 }
-                if let Some(c) = cache {
+                if let Some(c) = cache.filter(|_| run.keep.is_none_or(|keep| keep[index])) {
                     c.put_result(
                         inst.expect("hash computed when the cache is on"),
                         task.k,
@@ -664,6 +687,21 @@ struct Run<'a> {
     stop: &'a CancelToken,
     deadline: Option<Duration>,
     progress: Option<&'a Progress>,
+    /// Which tasks store their result-layer entry (`None`: all of them).
+    keep: Option<&'a [bool]>,
+}
+
+/// Marks each task whose result-layer key another task of `tasks` shares.
+fn duplicated_keys(tasks: &[SolveTask]) -> Vec<bool> {
+    let keys: Vec<_> = tasks
+        .iter()
+        .map(|t| (instance_hash(&t.instance), t.k, t.machines, t.algo, t.exact_ref))
+        .collect();
+    let mut count: HashMap<_, usize> = HashMap::with_capacity(keys.len());
+    for key in &keys {
+        *count.entry(key).or_default() += 1;
+    }
+    keys.iter().map(|key| count[key] > 1).collect()
 }
 
 /// Enqueue marks: recorded by the submitting thread, in input order,
@@ -752,7 +790,31 @@ fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
     }
 }
 
-/// One-shot convenience: build an [`Engine`] with `cfg`, run `tasks`.
+/// One-shot convenience: build an [`Engine`] with `cfg`, run `tasks`
+/// ([`Engine::run_once`]).
 pub fn run_batch(tasks: &[SolveTask], cfg: EngineConfig) -> BatchReport {
-    Engine::new(cfg).run_batch(tasks)
+    Engine::new(cfg).run_once(tasks)
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::grid::GridSpec;
+
+    #[test]
+    fn one_shot_batches_store_only_duplicated_keys() {
+        let grid = GridSpec::new(vec![6], vec![1, 2], vec![0], Algo::Reduction).tasks();
+        let tasks = vec![grid[0].clone(), grid[1].clone(), grid[0].clone()];
+        let keep = duplicated_keys(&tasks);
+        assert_eq!(keep, [true, false, true]);
+        let engine = Engine::new(EngineConfig { threads: 1, ..EngineConfig::default() });
+        let batch = engine.run_tasks(&tasks, Some(&keep));
+        assert_eq!((batch.stats.run, batch.stats.cached), (2, 1));
+        let stored = |t: &SolveTask| {
+            let inst = instance_hash(&t.instance);
+            engine.cache().get_result(inst, t.k, t.machines, t.algo, t.exact_ref).is_some()
+        };
+        assert!(stored(&tasks[0]), "the duplicated key is stored");
+        assert!(!stored(&tasks[1]), "a key no other task shares is not");
+    }
 }

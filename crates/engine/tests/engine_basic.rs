@@ -272,6 +272,17 @@ fn shared_cache_spans_engines() {
 }
 
 #[test]
+fn run_once_on_a_shared_cache_stores_every_result() {
+    // A one-shot batch skips result entries nothing could read — but a
+    // shared cache outlives the engine, so there every result is stored.
+    let cache = Arc::new(ResultCache::new());
+    let tasks = grid_tasks();
+    Engine::with_shared_cache(sequential(), Arc::clone(&cache)).run_once(&tasks);
+    let again = Engine::with_shared_cache(sequential(), cache).run_batch(&tasks);
+    assert_eq!(again.stats.cached, tasks.len());
+}
+
+#[test]
 fn run_task_goes_through_the_batch_worker_loop() {
     let tasks = grid_tasks();
     let batch = run_batch(&tasks, sequential());
@@ -305,41 +316,4 @@ fn run_task_goes_through_the_batch_worker_loop() {
     stop.cancel();
     let r = Engine::new(sequential()).run_task(&tasks[1], &stop, Some(Duration::ZERO), &mut ws);
     assert_eq!(r.result, TaskResult::Cancelled);
-}
-
-/// The obs acceptance criterion: with the feature on, the engine's terminal
-/// counters sum to the grid size.
-#[cfg(feature = "obs")]
-#[test]
-fn obs_counters_partition_the_batch() {
-    use pobp_core::obs;
-
-    let mut tasks = grid_tasks();
-    let mut bad = SolveTask::new(tasks[0].instance.clone(), 1, Algo::PanicForTest);
-    bad.label = "boom".into();
-    tasks.push(bad);
-    let total = tasks.len() as u64;
-    let cfg = EngineConfig {
-        threads: 4,
-        max_retries: 1,
-        backoff: Duration::from_millis(1),
-        ..EngineConfig::default()
-    };
-    let (_, snap) = obs::measure(|| run_batch(&tasks, cfg));
-    let sum = snap.counter("engine.tasks.run")
-        + snap.counter("engine.tasks.cached")
-        + snap.counter("engine.tasks.panicked")
-        + snap.counter("engine.tasks.timed_out")
-        + snap.counter("engine.tasks.cancelled");
-    assert_eq!(sum, total);
-    // Every emitted output was certified exactly once.
-    assert_eq!(
-        snap.counter("engine.cert.ok"),
-        snap.counter("engine.tasks.run") + snap.counter("engine.tasks.cached")
-    );
-    assert_eq!(snap.counter("engine.cert.failed"), 0);
-    assert_eq!(snap.counter("engine.tasks.panicked"), 1);
-    assert_eq!(snap.counter("engine.tasks.retried"), 1);
-    assert!(snap.events.contains_key("engine.queue.depth"));
-    assert!(snap.events.contains_key("engine.worker.busy_us"));
 }

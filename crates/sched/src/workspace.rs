@@ -1,8 +1,9 @@
 //! Reusable scratch memory for the scheduling hot path.
 //!
 //! A [`SolveWorkspace`] bundles the forest-algorithm scratch
-//! ([`pobp_forest::Workspace`]) with the EDF and schedule-forest scratch
-//! used by [`crate::edf_schedule_ws`], [`crate::laminarize_ws`],
+//! ([`pobp_forest::Workspace`]) with the EDF, greedy-reference and
+//! schedule-forest scratch used by [`crate::edf_schedule_ws`],
+//! [`crate::greedy_unbounded_ws`], [`crate::laminarize_ws`],
 //! [`crate::schedule_forest_ws`], [`crate::reconstruct_ws`] and
 //! [`crate::reduce_to_k_bounded_ws`]. The engine holds one per worker
 //! thread and reuses it across tasks, so the per-task hot path stops paying
@@ -67,6 +68,43 @@ impl EdfScratch {
     }
 }
 
+/// Scratch for the greedy `OPT_∞` reference ([`crate::greedy_unbounded_ws`]):
+/// the accepted set in release order, each accepted job's busy-period
+/// start, and the feasibility probe's ready heap.
+#[derive(Debug, Default)]
+pub(crate) struct GreedyScratch {
+    /// Density order of the candidates.
+    pub(crate) order: Vec<JobId>,
+    /// The accepted set, sorted by `(release, id)`.
+    pub(crate) accepted: Vec<(Time, JobId)>,
+    /// Release that opens each accepted job's busy period, indexed by the
+    /// dense `JobId` (valid for accepted jobs only; written on acceptance).
+    /// A time, not an index: inserts shift indices.
+    pub(crate) period_start: Vec<Time>,
+    /// Probe ready queue of `(deadline, remaining)`.
+    pub(crate) heap: BinaryHeap<Reverse<(Time, Time)>>,
+}
+
+impl GreedyScratch {
+    /// Grows the per-job array to cover ids `0..n` and empties the lists
+    /// (each probe empties the heap itself).
+    pub(crate) fn begin(&mut self, n: usize) {
+        if self.period_start.len() < n {
+            self.period_start.resize(n, 0);
+        }
+        self.order.clear();
+        self.accepted.clear();
+    }
+
+    fn bytes(&self) -> usize {
+        use std::mem::size_of;
+        self.order.capacity() * size_of::<JobId>()
+            + self.accepted.capacity() * size_of::<(Time, JobId)>()
+            + self.period_start.capacity() * size_of::<Time>()
+            + self.heap.capacity() * size_of::<Reverse<(Time, Time)>>()
+    }
+}
+
 /// Scratch for the schedule⇄forest direction ([`crate::laminarize_ws`],
 /// [`crate::schedule_forest_ws`], [`crate::reconstruct_ws`]).
 #[derive(Debug, Default)]
@@ -128,6 +166,8 @@ pub struct SolveWorkspace {
     pub forest: pobp_forest::Workspace,
     /// Scratch for EDF (feasibility oracle + witness generator).
     pub(crate) edf: EdfScratch,
+    /// Scratch for the greedy `OPT_∞` reference.
+    pub(crate) greedy: GreedyScratch,
     /// Scratch for the §4.1 schedule⇄forest constructions.
     pub(crate) sf: SfScratch,
 }
@@ -141,6 +181,6 @@ impl SolveWorkspace {
     /// Total bytes currently reserved by all scratch buffers (capacity,
     /// not length) — reported via the `engine.ws.scratch_bytes` obs event.
     pub fn scratch_bytes(&self) -> usize {
-        self.forest.scratch_bytes() + self.edf.bytes() + self.sf.bytes()
+        self.forest.scratch_bytes() + self.edf.bytes() + self.greedy.bytes() + self.sf.bytes()
     }
 }

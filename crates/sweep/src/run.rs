@@ -309,7 +309,7 @@ fn merge(dir: &Path, manifest: &Manifest, guard: &IoGuard) -> Result<PathBuf, St
 fn run_chunk(cfg: &SweepConfig, tasks: &[pobp_engine::SolveTask]) -> BatchReport {
     #[cfg(feature = "chaos")]
     if let Some(plan) = &cfg.chaos {
-        return Engine::with_chaos(cfg.engine.clone(), FaultPlan::clone(plan)).run_batch(tasks);
+        return Engine::with_chaos(cfg.engine.clone(), FaultPlan::clone(plan)).run_once(tasks);
     }
     run_batch(tasks, cfg.engine.clone())
 }

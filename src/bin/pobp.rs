@@ -422,6 +422,15 @@ fn cmd_choose_k(args: &[String]) -> Result<(), String> {
 /// sweep resumes to the same merged bytes. The batch summary goes to
 /// stderr.
 fn cmd_sweep(args: &[String]) -> Result<(), String> {
+    // Feature-gated flags are known in every build: they fail below with
+    // a message saying which feature they need.
+    reject_unknown_flags(
+        args,
+        "--n --k --seeds --alg --threads --deadline-ms --machines --retries --out \
+         --chunk-cells --max-chunks --chaos --chaos-seed --obs-out --trace --trace-logical",
+        "--exact-ref --no-cache --degrade --progress --resume --obs",
+    )
+    .map_err(|e| format!("sweep: {e}"))?;
     let ns: Vec<usize> = parse_num_list_strict(args, "--n", &[20, 40])?;
     let ks: Vec<u32> = parse_num_list_strict(args, "--k", &[0, 1, 2, 4])?;
     let seed_count: u64 = parse_num_strict(args, "--seeds", 5u64)?;
@@ -528,7 +537,7 @@ fn cmd_sweep(args: &[String]) -> Result<(), String> {
     let grid = GridSpec { ns: ns.clone(), ks: ks.clone(), seeds, algo, machines, exact_ref };
     #[cfg(feature = "chaos")]
     let batch = match chaos_plan {
-        Some(plan) => Engine::with_chaos(cfg, plan).run_batch(&grid.tasks()),
+        Some(plan) => Engine::with_chaos(cfg, plan).run_once(&grid.tasks()),
         None => pobp::engine::run_batch(&grid.tasks(), cfg),
     };
     #[cfg(not(feature = "chaos"))]
@@ -694,7 +703,7 @@ fn cmd_online(args: &[String]) -> Result<(), String> {
     };
     #[cfg(feature = "chaos")]
     let batch = match chaos_plan {
-        Some(plan) => Engine::with_chaos(cfg, plan).run_batch(&tasks),
+        Some(plan) => Engine::with_chaos(cfg, plan).run_once(&tasks),
         None => pobp::engine::run_batch(&tasks, cfg),
     };
     #[cfg(not(feature = "chaos"))]

@@ -453,6 +453,43 @@ fn sweep_and_online_numeric_flag_errors_are_loud_and_never_run() {
     }
 }
 
+/// `pobp sweep` names an argument it does not know and runs nothing —
+/// `--help` included, which is not a sweep flag.
+#[test]
+fn sweep_rejects_unknown_flags() {
+    for (args, bad) in [
+        (&["sweep", "--n", "8", "--k", "1", "--seeds", "1", "--bogus-flag", "3"][..], "--bogus-flag"),
+        (&["sweep", "--help"][..], "--help"),
+    ] {
+        let (out, err, ok) = run(args);
+        assert!(!ok, "{args:?} must fail");
+        assert!(err.contains(&format!("`{bad}`")), "error must name {bad}: {err}");
+        assert!(out.is_empty(), "{args:?} must not emit rows: {out}");
+    }
+}
+
+/// The rows of `tests/golden/sweep_reference_rows.jsonl` were produced by
+/// the greedy reference that ran a full EDF per acceptance test; the
+/// busy-period probes must reproduce them byte for byte. The file also
+/// holds n = 4000 rows, which CI checks against a release build.
+#[test]
+fn sweep_rows_match_the_pinned_reference_rows() {
+    let golden = include_str!("golden/sweep_reference_rows.jsonl");
+    for alg in ["reduction", "lsa"] {
+        let (out, err, ok) =
+            run(&["sweep", "--n", "250,1000", "--k", "1,2,4", "--seeds", "2", "--alg", alg]);
+        assert!(ok, "{err}");
+        let want: String = golden
+            .lines()
+            .filter(|l| l.contains(&format!("\"alg\":\"{alg}\"")))
+            .filter(|l| l.starts_with("{\"n\":250,") || l.starts_with("{\"n\":1000,"))
+            .map(|l| format!("{l}\n"))
+            .collect();
+        assert_eq!(want.lines().count(), 12, "golden file holds the {alg} rows");
+        assert_eq!(out, want, "{alg} rows drifted from the pinned reference rows");
+    }
+}
+
 #[test]
 fn sweep_resume_requires_an_out_dir() {
     let (_, err, ok) = run(&["sweep", "--resume", "--n", "8", "--k", "0", "--seeds", "1"]);

@@ -115,8 +115,12 @@ fn edf_heap_ops_are_linear() {
 fn laminarize_runs_one_restricted_edf_per_machine() {
     for &m in &[1usize, 2, 4] {
         let (jobs, ids) = workload(60, 5);
-        let schedule = iterative_multi_machine(&jobs, &ids, m, |jobs, ids| {
-            edf_schedule(jobs, ids, None).schedule
+        // Setup runs EDF too: inside a window, so no concurrent window
+        // counts it.
+        let (schedule, _) = obs::measure(|| {
+            iterative_multi_machine(&jobs, &ids, m, |jobs, ids| {
+                edf_schedule(jobs, ids, None).schedule
+            })
         });
         let machines = schedule.machines().len() as u64;
         assert!(machines >= 1);
@@ -134,6 +138,26 @@ fn laminarize_runs_one_restricted_edf_per_machine() {
             "laminarize runs no unrestricted EDF at all"
         );
         assert!(is_laminar(&lam));
+    }
+}
+
+/// The greedy `OPT_∞` reference runs EDF once — the final build — and one
+/// segment-free feasibility probe per job, each simulating only the busy
+/// period its candidate lands in. The standard workload needs about 20
+/// probe pushes per job at every n; a regression to full-EDF probes (about
+/// 2000 per job at n = 4000) fails the push bound.
+#[test]
+fn greedy_reference_probes_are_near_linear() {
+    for &n in &[250usize, 1000, 4000] {
+        let jobs = RandomWorkload::standard(n).generate(1);
+        let ids: Vec<JobId> = jobs.ids().collect();
+        let (_out, snap) = obs::measure(|| greedy_unbounded(&jobs, &ids));
+        assert_eq!(snap.counter("sched.edf.runs"), 1, "only the final build runs EDF");
+        let segs = snap.counter("sched.edf.segments_emitted");
+        assert!(segs <= 2 * n as u64, "n={n}: {segs} segments emitted");
+        assert_eq!(snap.counter("sched.greedy.probes"), n as u64, "one probe per job");
+        let pushes = snap.counter("sched.greedy.probe_pushes");
+        assert!(pushes <= 32 * n as u64, "n={n}: {pushes} probe pushes exceed 32n");
     }
 }
 
@@ -173,7 +197,7 @@ fn report_json_carries_schema_2_quantiles() {
 #[test]
 fn reduction_stages_fire_once_per_run() {
     let (jobs, ids) = workload(40, 9);
-    let base = edf_schedule(&jobs, &ids, None).schedule;
+    let (base, _) = obs::measure(|| edf_schedule(&jobs, &ids, None).schedule);
     let (_red, snap) = obs::measure(|| reduce_to_k_bounded(&jobs, &base, 1).unwrap());
     assert_eq!(snap.counter("sched.reduction.runs"), 1);
     for stage in [
