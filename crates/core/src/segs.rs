@@ -10,6 +10,7 @@
 //! Touching segments are coalesced on construction, so `segments().len() - 1`
 //! is exactly the number of preemptions a job with this schedule suffers.
 
+use crate::obs_count;
 use crate::time::{Interval, Time};
 
 /// A normalized (sorted, disjoint, coalesced) set of time segments.
@@ -68,6 +69,7 @@ impl SegmentSet {
                 _ => out.push(iv),
             }
         }
+        obs_count!("core.segs.merged", out.len());
         SegmentSet { segs: out }
     }
 
@@ -182,6 +184,7 @@ impl SegmentSet {
                 _ => merged.push(iv),
             }
         }
+        obs_count!("core.segs.merged", merged.len());
         SegmentSet { segs: merged }
     }
 

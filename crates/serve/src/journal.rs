@@ -17,7 +17,11 @@
 //! skips those, so replay is idempotent. A `kill -9` mid-append leaves a
 //! truncated final line — recovery drops it (that event was never
 //! acknowledged, so nothing observable is lost). Both cases are exercised
-//! by `tests/prop_journal.rs`.
+//! by `tests/prop_journal.rs`. Only a final record with no newline after
+//! it can be torn: any malformed newline-terminated record (bad JSON, no
+//! `seq`, invalid UTF-8), the last one included, is corruption of an
+//! acknowledged event, and recovery refuses with `InvalidData` naming its
+//! line rather than drop it and everything after it.
 
 use std::fs::{self, File, OpenOptions};
 use std::io::{self, Read, Write};
@@ -245,24 +249,35 @@ pub fn replay_dir(dir: &Path) -> io::Result<(Registry, u64, RecoveryReport)> {
         Err(e) if e.kind() == io::ErrorKind::NotFound => {}
         Err(e) => return Err(e),
     }
-    let text = String::from_utf8_lossy(&bytes);
-    for line in text.split('\n') {
-        let line = line.trim();
-        if line.is_empty() {
-            continue;
-        }
-        // A malformed record can only be a torn final append: the writer
-        // flushes line-atomically, so everything before it is intact. Drop
-        // it (it was never acknowledged) and stop.
-        let (record_seq, event) = match Json::parse(line).ok().and_then(|v| {
-            let s = v.get("seq").and_then(Json::as_u64)?;
-            let ev = Event::from_json(&v).ok()?;
-            Some((s, ev))
-        }) {
-            Some(parsed) => parsed,
-            None => {
+    // Split on raw bytes and decode each line on its own: invalid UTF-8 is
+    // a malformed record, never lossily repaired. The last piece is the one
+    // with no newline after it.
+    let mut pieces = bytes.split(|&b| b == b'\n').enumerate().peekable();
+    while let Some((i, raw)) = pieces.next() {
+        let parsed = match std::str::from_utf8(raw) {
+            Ok(line) if line.trim().is_empty() => continue,
+            Ok(line) => parse_record(line.trim()),
+            Err(e) => Err(format!("invalid UTF-8 ({e})")),
+        };
+        let (record_seq, event) = match parsed {
+            Ok(parsed) => parsed,
+            // Only a final record with no newline after it can be a torn
+            // append: the writer appends the newline last and nothing
+            // follows an unfinished append. Drop it (it was never
+            // acknowledged) and stop.
+            Err(_) if pieces.peek().is_none() => {
                 report.dropped_tail = true;
                 break;
+            }
+            // A malformed newline-terminated record is corruption of an
+            // acknowledged one. Recovering past it would silently lose it
+            // and every later one, so refuse and leave the files as they
+            // are.
+            Err(why) => {
+                return Err(io::Error::new(
+                    io::ErrorKind::InvalidData,
+                    format!("journal.jsonl line {}: corrupt record ({why})", i + 1),
+                ))
             }
         };
         if record_seq <= report.snapshot_seq {
@@ -274,6 +289,13 @@ pub fn replay_dir(dir: &Path) -> io::Result<(Registry, u64, RecoveryReport)> {
         report.replayed += 1;
     }
     Ok((registry, seq, report))
+}
+
+/// Parses one journal line into its `(seq, event)`.
+fn parse_record(line: &str) -> Result<(u64, Event), String> {
+    let v = Json::parse(line).map_err(|e| format!("not JSON: {e}"))?;
+    let seq = v.get("seq").and_then(Json::as_u64).ok_or("no numeric \"seq\"")?;
+    Ok((seq, Event::from_json(&v)?))
 }
 
 /// Serialises a recovery report for the `stats` op.
@@ -390,6 +412,87 @@ mod tests {
         live.apply(&ev);
         let (recovered3, _, _) = replay_dir(&dir).unwrap();
         assert_eq!(recovered3, live);
+        fs::remove_dir_all(&dir).unwrap();
+    }
+
+    /// Writes a 15-line journal (5 jobs, each submitted, started and
+    /// finished) and returns its bytes.
+    fn fifteen_line_journal(dir: &Path) -> Vec<u8> {
+        let mut live = Registry::new();
+        let (mut j, _, _) = Journal::open(dir, 1000).unwrap();
+        for seed in 0..5 {
+            let ev = submit_event(&mut live, seed);
+            let id = ev.id();
+            for ev in [ev, Event::Start { id }, Event::Finish { id, result: ok_result() }] {
+                j.append(&ev).unwrap();
+                live.apply(&ev);
+            }
+        }
+        drop(j);
+        let bytes = fs::read(dir.join("journal.jsonl")).unwrap();
+        assert_eq!(bytes.iter().filter(|&&b| b == b'\n').count(), 15);
+        bytes
+    }
+
+    /// Corrupts line `line` (1-based) of the journal with `edit`, expects
+    /// recovery to refuse naming that line, and checks the directory is
+    /// left byte-for-byte as it was.
+    fn assert_refuses(tag: &str, line: usize, edit: impl FnOnce(&mut Vec<u8>)) {
+        let dir = tmpdir(tag);
+        let mut lines: Vec<Vec<u8>> = fifteen_line_journal(&dir)
+            .split(|&b| b == b'\n')
+            .map(<[u8]>::to_vec)
+            .collect();
+        edit(&mut lines[line - 1]);
+        let corrupt = lines.join(&b'\n');
+        let path = dir.join("journal.jsonl");
+        fs::write(&path, &corrupt).unwrap();
+
+        for err in [replay_dir(&dir).unwrap_err(), Journal::open(&dir, 1000).unwrap_err()] {
+            assert_eq!(err.kind(), io::ErrorKind::InvalidData);
+            let msg = err.to_string();
+            assert!(msg.contains(&format!("line {line}:")), "error must name line {line}: {msg}");
+        }
+        assert_eq!(fs::read(&path).unwrap(), corrupt, "journal must be left untouched");
+        assert!(!dir.join("snapshot.json").exists(), "no compaction over a corrupt journal");
+        fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
+    fn corrupt_middle_record_refuses_to_open_and_names_its_line() {
+        assert_refuses("corrupt-seq", 2, |line| {
+            let at = line.windows(5).position(|w| w == b"\"seq\"").unwrap();
+            line[at + 2] = b'X'; // "seq" → "sXq"
+        });
+    }
+
+    #[test]
+    fn invalid_utf8_in_an_earlier_record_refuses_to_open() {
+        assert_refuses("bad-utf8", 7, |line| line.insert(3, 0xFF));
+    }
+
+    #[test]
+    fn corrupt_final_record_with_its_newline_refuses_to_open() {
+        // A crash cannot leave a bad record followed by its newline, so
+        // even the last one is corruption, not a torn append.
+        assert_refuses("corrupt-last", 15, |line| line.truncate(line.len() / 2));
+    }
+
+    #[test]
+    fn unterminated_malformed_final_record_is_a_dropped_tail() {
+        let dir = tmpdir("bad-last");
+        let bytes = fifteen_line_journal(&dir);
+        let (clean, clean_seq, _) = replay_dir(&dir).unwrap();
+        // Chop the last record in half, newline included: the shape a
+        // kill mid-append leaves.
+        let body = &bytes[..bytes.len() - 1];
+        let start = body.iter().rposition(|&b| b == b'\n').unwrap() + 1;
+        fs::write(dir.join("journal.jsonl"), &bytes[..start + (body.len() - start) / 2]).unwrap();
+        let (recovered, seq, report) = replay_dir(&dir).unwrap();
+        assert!(report.dropped_tail);
+        assert_eq!(report.replayed, 14);
+        assert_eq!(seq, clean_seq - 1);
+        assert_ne!(recovered, clean, "the finish of job 5 was dropped");
         fs::remove_dir_all(&dir).unwrap();
     }
 }

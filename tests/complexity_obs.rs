@@ -212,3 +212,28 @@ fn reduction_stages_fire_once_per_run() {
     assert_eq!(snap.counter("sched.laminarize.machines"), 1);
     assert_eq!(snap.counter("sched.edf.restricted_runs"), 1);
 }
+
+/// Busy timelines cost one sort per machine: on the Theorem 4.2 reduction's
+/// output (S segments), `schedule_stats` and `laminarize` each write at
+/// most 2·S intervals from `SegmentSet`'s coalescing merges
+/// (`core.segs.merged`). A fold of pairwise unions rewrites the whole
+/// accumulated timeline once per job and fails the bound by far.
+#[test]
+fn busy_timelines_merge_each_segment_a_bounded_number_of_times() {
+    for &n in &[1000usize, 4000] {
+        let jobs = RandomWorkload::standard(n).generate(1);
+        let ids: Vec<JobId> = jobs.ids().collect();
+        let (red, _) = obs::measure(|| {
+            let reference = greedy_unbounded(&jobs, &ids).schedule;
+            reduce_to_k_bounded(&jobs, &reference, 2).unwrap().schedule
+        });
+        assert!(!red.is_empty());
+        let segs: u64 = red.iter().map(|(_, a)| a.segs.count() as u64).sum();
+        let (_, snap) = obs::measure(|| schedule_stats(&jobs, &red));
+        let merged = snap.counter("core.segs.merged");
+        assert!(merged <= 2 * segs, "n={n}: schedule_stats merged {merged} > 2·{segs}");
+        let (_, snap) = obs::measure(|| laminarize(&jobs, &red).unwrap());
+        let merged = snap.counter("core.segs.merged");
+        assert!(merged <= 2 * segs, "n={n}: laminarize merged {merged} > 2·{segs}");
+    }
+}
