@@ -23,14 +23,21 @@
 //! counters, never in per-task output (see the determinism contract in
 //! `docs/engine.md`).
 //!
+//! The reference layer is **single-flight**: each `(instance, exact_ref)`
+//! key owns one [`OnceLock`] cell, and [`ResultCache::reference`] computes
+//! under it. The first asker computes; a concurrent asker blocks until that
+//! computation lands and then shares it, so a batch computes each distinct
+//! reference exactly once at any thread count. A computation that panics
+//! leaves its cell empty, and the next asker (the retry) computes it.
+//!
 //! With the `chaos` feature an armed [`FaultPlan`](crate::chaos::FaultPlan)
-//! can corrupt entries **at put time**, decided by the entry key: every
-//! consumer of a poisoned entry (including the worker that computed it,
-//! which adopts the canonical entry returned by [`ResultCache::put_ref`])
+//! can corrupt entries **at store time**, decided by the entry key: the
+//! reference layer corrupts inside the cell's initialiser, so every
+//! consumer of a poisoned entry (including the worker that computed it)
 //! observes the same corrupt bytes, keeping chaos runs deterministic.
 
 use std::collections::HashMap;
-use std::sync::{Arc, Mutex};
+use std::sync::{Arc, Mutex, OnceLock};
 
 use pobp_core::{trace_event, JobSet, Schedule};
 
@@ -59,6 +66,33 @@ pub fn instance_hash(jobs: &JobSet) -> u64 {
     h
 }
 
+/// [`instance_hash`] of every task's instance, in task order. A task whose
+/// instance is bitwise equal to the previous task's reuses its hash, so a
+/// grid that lays each instance's `k` row out adjacently (as
+/// [`GridSpec`](crate::GridSpec) and the sweep planner do) hashes every
+/// instance once.
+pub fn instance_hashes(tasks: &[SolveTask]) -> Vec<u64> {
+    let mut out: Vec<u64> = Vec::with_capacity(tasks.len());
+    for (i, t) in tasks.iter().enumerate() {
+        let h = match i.checked_sub(1) {
+            Some(p) if same_bits(&tasks[p].instance, &t.instance) => out[p],
+            _ => instance_hash(&t.instance),
+        };
+        out.push(h);
+    }
+    out
+}
+
+/// Whether two job sets hold the same bits in every field that
+/// [`instance_hash`] reads, so that they hash equal.
+fn same_bits(a: &JobSet, b: &JobSet) -> bool {
+    a.len() == b.len()
+        && a.iter().zip(b.iter()).all(|((_, x), (_, y))| {
+            (x.release, x.deadline, x.length, x.value.to_bits())
+                == (y.release, y.deadline, y.length, y.value.to_bits())
+        })
+}
+
 /// `splitmix64` finalizer — the standard 64-bit avalanche mix. Shared by
 /// the chaos layer's injection decisions and the sweep planner's chunk
 /// keys, so both derive from one pinned bit stream.
@@ -76,7 +110,13 @@ pub fn splitmix64(mut x: u64) -> u64 {
 /// planner folds these keys into its chunk digests, which is what makes a
 /// `--resume` able to detect a changed grid spec.
 pub fn task_key(task: &SolveTask) -> u64 {
-    let mut h = instance_hash(&task.instance);
+    task_key_with_hash(instance_hash(&task.instance), task)
+}
+
+/// [`task_key`] for a task whose [`instance_hash`] is already known
+/// (`inst`), so a batch hashes each instance once instead of once per task.
+pub fn task_key_with_hash(inst: u64, task: &SolveTask) -> u64 {
+    let mut h = inst;
     h ^= splitmix64(task.k as u64);
     h = h.rotate_left(17) ^ splitmix64(task.machines as u64);
     h = h.rotate_left(17) ^ splitmix64(task.algo.name().len() as u64 ^ (task.algo as u64) << 8);
@@ -110,10 +150,14 @@ pub struct CachedResult {
 /// Full task key for the result layer.
 type ResultKey = (u64, u32, usize, Algo, bool);
 
+/// One reference-layer cell: empty until its first asker's computation
+/// lands. Shared by `Arc` so askers wait on it outside the map's lock.
+type RefSlot = Arc<OnceLock<Arc<RefSolution>>>;
+
 /// The two-layer cache. Cheap to share: clone the [`Arc`] handle.
 #[derive(Debug, Default)]
 pub struct ResultCache {
-    refs: Mutex<HashMap<(u64, bool), Arc<RefSolution>>>,
+    refs: Mutex<HashMap<(u64, bool), RefSlot>>,
     results: Mutex<HashMap<ResultKey, CachedResult>>,
     #[cfg(feature = "chaos")]
     chaos: Mutex<Option<Arc<crate::chaos::FaultPlan>>>,
@@ -132,35 +176,35 @@ impl ResultCache {
         *self.chaos.lock().unwrap() = plan;
     }
 
-    /// Looks up the reference layer.
-    pub fn get_ref(&self, inst: u64, exact: bool) -> Option<Arc<RefSolution>> {
-        self.refs.lock().unwrap().get(&(inst, exact)).cloned()
-    }
-
-    /// Stores into the reference layer, returning the canonical entry.
-    ///
-    /// Under a race two workers may both compute the reference; first write
-    /// wins and both use the winner, so every task observing the cache sees
-    /// one consistent reference solution. (Solvers are deterministic, so
-    /// the racers computed identical solutions anyway.)
-    pub fn put_ref(&self, inst: u64, exact: bool, sol: RefSolution) -> Arc<RefSolution> {
-        #[cfg(feature = "chaos")]
-        let sol = {
-            let mut sol = sol;
+    /// The reference of instance `inst` (exact or greedy per `exact`),
+    /// computed by `compute` unless the layer already holds it. Returns the
+    /// shared solution and whether it was a hit: `false` only for the asker
+    /// whose `compute` ran. An asker that arrives while another computes
+    /// the same key blocks until that computation lands, and counts as a
+    /// hit. If `compute` panics the cell stays empty and the next asker
+    /// computes.
+    pub fn reference(
+        &self,
+        inst: u64,
+        exact: bool,
+        compute: impl FnOnce() -> RefSolution,
+    ) -> (Arc<RefSolution>, bool) {
+        let cell = self.refs.lock().unwrap().entry((inst, exact)).or_default().clone();
+        let mut computed = false;
+        let sol = cell.get_or_init(|| {
+            computed = true;
+            #[allow(unused_mut)] // only the chaos build corrupts it
+            let mut sol = compute();
+            #[cfg(feature = "chaos")]
             if let Some(plan) = self.chaos.lock().unwrap().as_ref() {
                 plan.corrupt_ref(inst ^ exact as u64, &mut sol);
             }
-            sol
-        };
-        // Timing-class: under a race several workers store (the winner's
-        // entry survives), so store counts vary across thread counts.
-        trace_event!(timing "cache.ref_store");
-        self.refs
-            .lock()
-            .unwrap()
-            .entry((inst, exact))
-            .or_insert_with(|| Arc::new(sol))
-            .clone()
+            // Timing-class: which task of an instance stores its reference
+            // depends on scheduling order.
+            trace_event!(timing "cache.ref_store");
+            Arc::new(sol)
+        });
+        (sol.clone(), !computed)
     }
 
     /// Looks up the result layer by the full task key.
@@ -198,9 +242,11 @@ impl ResultCache {
         self.results.lock().unwrap().insert((inst, k, machines, algo, exact), entry);
     }
 
-    /// Number of entries across both layers (for reporting).
+    /// Number of entries across both layers (for reporting). A reference
+    /// cell whose computation has not landed is not an entry.
     pub fn len(&self) -> usize {
-        self.refs.lock().unwrap().len() + self.results.lock().unwrap().len()
+        let refs = self.refs.lock().unwrap().values().filter(|c| c.get().is_some()).count();
+        refs + self.results.lock().unwrap().len()
     }
 
     /// Whether the cache holds nothing.
@@ -242,15 +288,66 @@ mod tests {
     }
 
     #[test]
-    fn ref_layer_first_write_wins() {
+    fn batch_hashes_reuse_equal_neighbours_and_match_per_task_hashes() {
+        let task = |v: f64| SolveTask::new(inst(v), 1, Algo::Reduction);
+        // Equal neighbours, a change, and a repeat after a gap.
+        let tasks = [task(2.0), task(2.0), task(3.0), task(2.0), task(2.0)];
+        let want: Vec<u64> = tasks.iter().map(|t| instance_hash(&t.instance)).collect();
+        assert_eq!(instance_hashes(&tasks), want);
+        assert_ne!(want[1], want[2]);
+        assert!(instance_hashes(&[]).is_empty());
+    }
+
+    fn sol(value: f64) -> RefSolution {
+        RefSolution { schedule: Schedule::new(), value }
+    }
+
+    #[test]
+    fn ref_layer_computes_once_across_concurrent_askers() {
+        use std::sync::atomic::{AtomicUsize, Ordering};
+        use std::sync::Barrier;
+        const ASKERS: usize = 8;
         let c = ResultCache::new();
-        assert!(c.get_ref(7, true).is_none());
-        let first = c.put_ref(7, true, RefSolution { schedule: Schedule::new(), value: 1.0 });
-        let second = c.put_ref(7, true, RefSolution { schedule: Schedule::new(), value: 2.0 });
-        assert_eq!(first.value, 1.0);
-        assert_eq!(second.value, 1.0);
-        assert_eq!(c.get_ref(7, true).unwrap().value, 1.0);
-        assert!(c.get_ref(7, false).is_none());
-        assert_eq!(c.len(), 1);
+        let runs = AtomicUsize::new(0);
+        let start = Barrier::new(ASKERS);
+        let got: Vec<(Arc<RefSolution>, bool)> = std::thread::scope(|s| {
+            let askers: Vec<_> = (0..ASKERS)
+                .map(|_| {
+                    s.spawn(|| {
+                        start.wait();
+                        c.reference(7, true, || {
+                            runs.fetch_add(1, Ordering::SeqCst);
+                            // Long enough that the other askers arrive
+                            // while it runs.
+                            std::thread::sleep(std::time::Duration::from_millis(50));
+                            sol(1.0)
+                        })
+                    })
+                })
+                .collect();
+            askers.into_iter().map(|a| a.join().unwrap()).collect()
+        });
+        assert_eq!(runs.load(Ordering::SeqCst), 1, "the closure ran once");
+        assert_eq!(got.iter().filter(|(_, hit)| !hit).count(), 1, "one asker computed");
+        assert!(got.iter().all(|(r, _)| Arc::ptr_eq(r, &got[0].0)), "one shared Arc");
+        assert_eq!(got[0].0.value, 1.0);
+        // The other layer key is its own cell.
+        let (other, hit) = c.reference(7, false, || sol(2.0));
+        assert_eq!((other.value, hit), (2.0, false));
+        assert_eq!(c.len(), 2);
+    }
+
+    #[test]
+    fn a_panicking_computation_leaves_the_cell_for_the_next_asker() {
+        let c = ResultCache::new();
+        let boom = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            c.reference(9, false, || panic!("reference failed"))
+        }));
+        assert!(boom.is_err());
+        assert!(c.is_empty(), "a failed computation stores nothing");
+        let (retry, hit) = c.reference(9, false, || sol(3.0));
+        assert_eq!((retry.value, hit), (3.0, false), "the retry computes");
+        let (again, hit) = c.reference(9, false, || unreachable!("already stored"));
+        assert!(hit && Arc::ptr_eq(&retry, &again));
     }
 }

@@ -17,7 +17,7 @@
 //! | `delay` | `pool.rs`, attempt start | sleeps [`FaultPlan::delay`] (exercises deadline yield points; wall-clock only) |
 //! | `cancel` | `pool.rs`, before the first attempt | cancels the task's own token (surfaces as a deadline stop) |
 //! | `deadline` | `solve.rs`, reference→bounded stage boundary | forces [`StopReason::DeadlineExceeded`](crate::cancel::StopReason) |
-//! | `corrupt-ref` | `cache.rs`, reference-layer put | perturbs the stored reference value |
+//! | `corrupt-ref` | `cache.rs`, reference-layer store (inside the cell initialiser) | perturbs the stored reference value |
 //! | `corrupt-result` | `cache.rs`, result-layer put | perturbs the stored output value |
 //!
 //! The IO sites (all routed through [`IoGuard`](crate::io::IoGuard), the
@@ -51,7 +51,7 @@
 use std::sync::Arc;
 use std::time::Duration;
 
-use crate::cache::RefSolution;
+use crate::cache::{splitmix64, RefSolution};
 use crate::task::SolveOutput;
 
 /// The `pobp sweep` usage addendum for chaos builds. Lives in this module
@@ -82,7 +82,7 @@ pub enum FaultSite {
     SpuriousCancel,
     /// Force a `DeadlineExceeded` stop at the stage boundary.
     ForcedDeadline,
-    /// Corrupt the reference-layer cache entry at put time.
+    /// Corrupt the reference-layer cache entry at store time.
     CorruptRef,
     /// Corrupt the result-layer cache entry at put time.
     CorruptResult,
@@ -274,8 +274,8 @@ impl FaultPlan {
             return false;
         }
         pobp_core::obs_count!("engine.chaos.corrupt_ref");
-        // Timing-class: corruption fires at put time, and under a race the
-        // losing worker's put (and thus this event) can repeat.
+        // Timing-class: corruption fires at store time, inside whichever
+        // task of the instance computes the reference.
         pobp_core::trace_event!(timing "chaos.corrupt_ref");
         // Push the claimed reference value well past any certification
         // tolerance while keeping it finite and positive.
@@ -296,10 +296,6 @@ impl FaultPlan {
     }
 }
 
-// The hash primitives live in `cache.rs` (always compiled — the sweep
-// planner keys chunks with them); re-export so chaos callers keep working.
-pub use crate::cache::{splitmix64, task_key};
-
 /// A task's chaos handle: the armed plan plus this task's content key.
 /// Carried on [`TaskCtx`](crate::cancel::TaskCtx) so the stage boundary in
 /// `solve.rs` can consult the `deadline` site.
@@ -307,7 +303,7 @@ pub use crate::cache::{splitmix64, task_key};
 pub struct TaskChaos {
     /// The armed plan.
     pub plan: Arc<FaultPlan>,
-    /// This task's content key ([`task_key`]).
+    /// This task's content key ([`task_key`](crate::task_key)).
     pub key: u64,
 }
 

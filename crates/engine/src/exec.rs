@@ -1,6 +1,7 @@
 //! The work-stealing run-queue fabric behind [`crate::pool::Engine`]:
-//! per-worker deques with a LIFO slot, a chunked global injector, a
-//! not-before heap for retry backoff, and a parking lot for idle workers.
+//! per-worker deques with a LIFO slot, a global injector of instance
+//! groups, a not-before heap for retry backoff, and a parking lot for idle
+//! workers.
 //!
 //! The fabric schedules *units* — `(task index, attempts so far, per-task
 //! cancellation state)` — not results: every solver is a pure function and
@@ -16,17 +17,22 @@
 //!    state is still warm in this worker's workspace);
 //! 2. the front of its **own deque** (the tail of its last injector chunk);
 //! 3. the **not-before heap**, when the earliest entry is due;
-//! 4. the **injector**: a chunk of `chunk` consecutive input indices,
-//!    claimed with one `fetch_add` — consecutive cells of a sweep grid
-//!    share a reference solution, so chunk adjacency feeds the ref cache;
-//! 5. **stealing**: the back half of a randomly chosen victim's deque.
+//! 4. the **injector**: a chunk of `chunk` whole *groups*, claimed with one
+//!    `fetch_add`. A group is every task of one instance ([`claim_order`]),
+//!    so one worker computes the instance's shared reference and runs its
+//!    `k` row behind it; groups come largest instance first (LPT), so the
+//!    long tasks start early and the short ones fill the tail;
+//! 5. **stealing**: the back half of a randomly chosen victim's deque. A
+//!    thief that takes tasks of an instance whose reference is still being
+//!    computed waits for it in the single-flight reference layer
+//!    ([`crate::cache`]) instead of computing it again.
 //!
 //! A worker that finds nothing parks on a condvar with a bounded timeout
 //! (the earliest not-before entry, capped at 1 ms) and re-checks; the last
 //! completion notifies everyone so the pool drains promptly.
 
 use std::cmp::Reverse;
-use std::collections::{BinaryHeap, VecDeque};
+use std::collections::{BinaryHeap, HashMap, VecDeque};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Condvar, Mutex};
 use std::time::{Duration, Instant};
@@ -55,7 +61,7 @@ pub(crate) struct Unit {
     /// against it, exactly as the old in-worker backoff sleep did.
     pub deadline_at: Option<Instant>,
     /// The task's chaos handle (plan + content key), computed once at first
-    /// dispatch so requeues do not re-hash the task.
+    /// dispatch and carried across requeues.
     #[cfg(feature = "chaos")]
     pub chaos: Option<crate::chaos::TaskChaos>,
 }
@@ -109,13 +115,35 @@ struct WorkerQueue {
     deque: Mutex<VecDeque<Unit>>,
 }
 
+/// The injector's claim order for a batch whose task `i` has instance hash
+/// `hashes[i]` and instance size `size(i)`: the input indices grouped by
+/// hash (groups in first-occurrence order, indices in input order within a
+/// group), then the groups stably sorted by descending size, so ties keep
+/// input order. Size is a property of the input, so this is longest
+/// processing time first without any knowledge of the workload.
+pub(crate) fn claim_order(hashes: &[u64], size: impl Fn(usize) -> usize) -> Vec<Vec<usize>> {
+    let mut group_of: HashMap<u64, usize> = HashMap::with_capacity(hashes.len());
+    let mut groups: Vec<Vec<usize>> = Vec::new();
+    for (i, &h) in hashes.iter().enumerate() {
+        let g = *group_of.entry(h).or_insert_with(|| {
+            groups.push(Vec::new());
+            groups.len() - 1
+        });
+        groups[g].push(i);
+    }
+    groups.sort_by_key(|g| Reverse(size(g[0])));
+    groups
+}
+
 /// The shared scheduling state of one `run_batch` call.
 pub(crate) struct Fabric {
     /// Batch size (reports needed before the pool may exit).
     n: usize,
-    /// Indices claimed per injector `fetch_add`.
+    /// The injector's groups of input indices, in claim order.
+    groups: Vec<Vec<usize>>,
+    /// Groups claimed per injector `fetch_add`.
     chunk: usize,
-    /// Next unclaimed input index (the global injector).
+    /// Next unclaimed group (the global injector).
     cursor: AtomicUsize,
     queues: Vec<WorkerQueue>,
     /// Retries waiting out a not-before timestamp (min-heap via `Reverse`).
@@ -127,13 +155,15 @@ pub(crate) struct Fabric {
 }
 
 impl Fabric {
-    /// A fabric for `n` tasks over `threads` workers. The chunk size aims
-    /// at a few claims per worker (amortising the shared cursor) while
-    /// keeping the tail stealable.
-    pub fn new(n: usize, threads: usize) -> Self {
-        let chunk = (n / (threads * 4).max(1)).clamp(1, 64);
+    /// A fabric over `threads` workers for the tasks in `groups`, claimed
+    /// whole in the given order ([`claim_order`]). The chunk size aims at a
+    /// few claims per worker (amortising the shared cursor) while keeping
+    /// the tail stealable.
+    pub fn new(groups: Vec<Vec<usize>>, threads: usize) -> Self {
+        let chunk = (groups.len() / (threads * 4).max(1)).clamp(1, 64);
         Fabric {
-            n,
+            n: groups.iter().map(Vec::len).sum(),
+            groups,
             chunk,
             cursor: AtomicUsize::new(0),
             queues: (0..threads).map(|_| WorkerQueue::default()).collect(),
@@ -204,22 +234,25 @@ impl Fabric {
         None
     }
 
-    /// Claims the next `chunk` input indices from the injector: the first
+    /// Claims the next `chunk` groups from the injector: their first task
     /// is returned to run now, the rest land at the back of the worker's
     /// own deque (where thieves can take them).
     fn claim_chunk(&self, worker: usize) -> Option<Unit> {
         let start = self.cursor.fetch_add(self.chunk, Ordering::Relaxed);
-        if start >= self.n {
+        if start >= self.groups.len() {
             return None;
         }
-        let end = (start + self.chunk).min(self.n);
-        obs_event!("engine.queue.depth", (self.n - end) as u64);
-        if end > start + 1 {
-            let mut deque = self.queues[worker].deque.lock().unwrap();
-            deque.extend((start + 1..end).map(Unit::fresh));
+        let end = (start + self.chunk).min(self.groups.len());
+        obs_event!("engine.queue.depth", (self.groups.len() - end) as u64);
+        let mut claimed = self.groups[start..end].iter().flatten().copied();
+        let first = claimed.next().expect("groups are never empty");
+        let mut deque = self.queues[worker].deque.lock().unwrap();
+        let before = deque.len();
+        deque.extend(claimed.map(Unit::fresh));
+        if deque.len() > before {
             obs_event!("engine.queue.local_depth", deque.len() as u64);
         }
-        Some(Unit::fresh(start))
+        Some(Unit::fresh(first))
     }
 
     /// One stealing round: up to `threads − 1` victims in seeded-random
@@ -304,5 +337,50 @@ impl StealRng {
     fn next(&mut self) -> u64 {
         self.0 = splitmix64(self.0);
         self.0
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    /// Drains a one-worker fabric, returning input indices in claim order.
+    fn drain(fabric: &Fabric) -> Vec<usize> {
+        let mut rng = StealRng::new(0);
+        let mut order = Vec::new();
+        while let (Some(unit), _) = fabric.next_unit(0, &mut rng) {
+            order.push(unit.index);
+        }
+        order
+    }
+
+    #[test]
+    fn one_worker_claims_whole_groups_largest_instance_first() {
+        // Instances a (size 5), b (size 9), c (size 5), d (size 9); a and c
+        // tie, and so do b and d.
+        let hashes = [0xa, 0xb, 0xa, 0xc, 0xb, 0xc, 0xd, 0xa];
+        let size = |i: usize| match hashes[i] {
+            0xb | 0xd => 9,
+            _ => 5,
+        };
+        let groups = claim_order(&hashes, size);
+        assert_eq!(groups, vec![vec![1, 4], vec![6], vec![0, 2, 7], vec![3, 5]]);
+
+        let fabric = Fabric::new(groups, 1);
+        assert_eq!(fabric.chunk, 1, "4 groups over 1 worker: one group per claim");
+        let mut rng = StealRng::new(0);
+        let (first, _) = fabric.next_unit(0, &mut rng);
+        assert_eq!(first.map(|u| u.index), Some(1));
+        let queued: Vec<usize> =
+            fabric.queues[0].deque.lock().unwrap().iter().map(|u| u.index).collect();
+        assert_eq!(queued, [4], "a claim queues the rest of its group, nothing more");
+        assert_eq!(drain(&fabric), [4, 6, 0, 2, 7, 3, 5]);
+    }
+
+    #[test]
+    fn singleton_groups_claim_in_input_order() {
+        let fabric = Fabric::new((0..10).map(|i| vec![i]).collect(), 1);
+        assert_eq!(drain(&fabric), (0..10).collect::<Vec<_>>());
+        assert_eq!(fabric.n, 10);
     }
 }

@@ -82,7 +82,10 @@ pub mod pool;
 mod solve;
 pub mod task;
 
-pub use cache::{instance_hash, splitmix64, task_key, CachedResult, RefSolution, ResultCache};
+pub use cache::{
+    instance_hash, instance_hashes, splitmix64, task_key, task_key_with_hash, CachedResult,
+    RefSolution, ResultCache,
+};
 pub use io::IoGuard;
 pub use cancel::{CancelToken, StopReason, TaskCtx};
 pub use cert::{CertFailure, CertStage};

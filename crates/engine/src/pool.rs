@@ -1,9 +1,10 @@
 //! The worker-pool core: fan a batch of tasks across N threads, survive
 //! panics and overruns, return reports in input order.
 //!
-//! Scheduling is work-stealing (`crate::exec`): workers claim chunks of
-//! the input range from a global injector into per-worker run queues and
-//! steal from randomly chosen victims when their own queue drains. Each
+//! Scheduling is work-stealing (`crate::exec`): workers claim whole
+//! instance groups — every task of one instance, largest instance first —
+//! from a global injector into per-worker run queues and steal from
+//! randomly chosen victims when their own queue drains. Each
 //! worker keeps the reports it produced and the pool merges them by input
 //! index after the join, so the returned order — and, because every solver
 //! is a pure function, the returned *content* — is independent of thread
@@ -41,10 +42,10 @@ use pobp_core::obs::LogHistogram;
 use pobp_core::{obs_count, obs_event, obs_span, trace, trace_event};
 use pobp_sched::SolveWorkspace;
 
-use crate::cache::{instance_hash, CachedResult, ResultCache};
+use crate::cache::{instance_hash, instance_hashes, CachedResult, ResultCache};
 use crate::cancel::{CancelToken, StopReason, TaskCtx};
 use crate::cert;
-use crate::exec::{Fabric, StealRng, Unit};
+use crate::exec::{claim_order, Fabric, StealRng, Unit};
 use crate::solve::{solve_task, SolveFailure};
 use crate::task::{Algo, DegradeCause, SolveTask, TaskReport, TaskResult};
 
@@ -246,7 +247,7 @@ impl Engine {
     /// Runs `tasks` across the configured worker pool and returns one
     /// report per task, in input order.
     pub fn run_batch(&self, tasks: &[SolveTask]) -> BatchReport {
-        self.run_tasks(tasks, None)
+        self.run_tasks(tasks, &instance_hashes(tasks), None)
     }
 
     /// [`Engine::run_batch`] for an engine's only batch: the engine is
@@ -257,15 +258,23 @@ impl Engine {
     /// group stores, so the first to finish answers the rest whatever order
     /// they run in. Grid sweeps hold no duplicate keys and store nothing.
     pub fn run_once(self, tasks: &[SolveTask]) -> BatchReport {
+        let hashes = instance_hashes(tasks);
         let keep = (self.cfg.use_cache && Arc::strong_count(&self.cache) == 1)
-            .then(|| duplicated_keys(tasks));
-        self.run_tasks(tasks, keep.as_deref())
+            .then(|| duplicated_keys(tasks, &hashes));
+        self.run_tasks(tasks, &hashes, keep.as_deref())
     }
 
     /// The batch runner behind [`Engine::run_batch`] and
-    /// [`Engine::run_once`]; `keep` marks the tasks that store a
-    /// result-layer entry (`None`: all of them).
-    fn run_tasks(&self, tasks: &[SolveTask], keep: Option<&[bool]>) -> BatchReport {
+    /// [`Engine::run_once`]. `hashes[i]` is task `i`'s
+    /// [`instance_hash`]; `keep` marks the tasks that store a result-layer
+    /// entry (`None`: all of them). The injector hands out whole instance
+    /// groups, largest instance first ([`claim_order`]).
+    fn run_tasks(
+        &self,
+        tasks: &[SolveTask],
+        hashes: &[u64],
+        keep: Option<&[bool]>,
+    ) -> BatchReport {
         let n = tasks.len();
         let stats = StatsCell::default();
         if n == 0 {
@@ -280,9 +289,11 @@ impl Engine {
 
         mark_enqueued(n);
         let progress = self.cfg.progress.then(|| Progress::new(n));
-        let fabric = Fabric::new(n, threads);
+        let fabric =
+            Fabric::new(claim_order(hashes, |i| tasks[i].instance.len()), threads);
         let run = Run {
             tasks,
+            hashes,
             fabric: &fabric,
             stats: &stats,
             stop: &self.batch,
@@ -345,9 +356,10 @@ impl Engine {
         ws: &mut SolveWorkspace,
     ) -> TaskReport {
         mark_enqueued(1);
-        let fabric = Fabric::new(1, 1);
+        let fabric = Fabric::new(vec![vec![0]], 1);
         let run = Run {
             tasks: std::slice::from_ref(task),
+            hashes: &[instance_hash(&task.instance)],
             fabric: &fabric,
             stats: &StatsCell::default(),
             stop,
@@ -430,9 +442,8 @@ impl Engine {
         let task = &run.tasks[index];
         let stats = run.stats;
         let cache = self.cfg.use_cache.then_some(&*self.cache);
-        let inst = cache.map(|_| instance_hash(&task.instance));
+        let inst = run.hashes[index];
         if let Some(c) = cache.filter(|_| unit.attempts == 0) {
-            let inst = inst.expect("hash computed when the cache is on");
             // Timing-class: whether a result-layer probe hits depends on
             // scheduling order, so none of this appears in the logical trace.
             if let Some(hit) = obs_span!(timing "cache.probe", {
@@ -482,7 +493,7 @@ impl Engine {
             {
                 unit.chaos = self.chaos.as_ref().map(|plan| crate::chaos::TaskChaos {
                     plan: plan.clone(),
-                    key: crate::chaos::task_key(task),
+                    key: crate::cache::task_key_with_hash(inst, task),
                 });
                 if let Some(ch) = &unit.chaos {
                     // The `cancel` site: spuriously cancel the task's own
@@ -526,7 +537,7 @@ impl Engine {
                     // The `panic`/`flaky` sites, inside catch_unwind.
                     ch.plan.inject_panic(ch.key, attempts);
                 }
-                solve_task(task, &ctx, cache, ws)
+                solve_task(task, inst, &ctx, cache, ws)
             })
         };
         let result = match catch_unwind(AssertUnwindSafe(|| attempt(&mut *ws))) {
@@ -539,7 +550,7 @@ impl Engine {
                 }
                 if let Some(c) = cache.filter(|_| run.keep.is_none_or(|keep| keep[index])) {
                     c.put_result(
-                        inst.expect("hash computed when the cache is on"),
+                        inst,
                         task.k,
                         task.machines,
                         task.algo,
@@ -561,7 +572,7 @@ impl Engine {
             }
             Ok(Err(SolveFailure::Stopped(StopReason::DeadlineExceeded))) => {
                 trace_event!("stop.deadline");
-                match self.try_degrade(task, DegradeCause::DeadlineExceeded, run, ws) {
+                match self.try_degrade(task, inst, DegradeCause::DeadlineExceeded, run, ws) {
                     Some(rescued) => rescued,
                     None => {
                         obs_count!("engine.tasks.timed_out");
@@ -597,7 +608,7 @@ impl Engine {
                     }
                     return None;
                 }
-                match self.try_degrade(task, DegradeCause::RetriesExhausted, run, ws) {
+                match self.try_degrade(task, inst, DegradeCause::RetriesExhausted, run, ws) {
                     Some(rescued) => rescued,
                     None => {
                         obs_count!("engine.tasks.panicked");
@@ -622,6 +633,7 @@ impl Engine {
     fn try_degrade(
         &self,
         task: &SolveTask,
+        inst: u64,
         cause: DegradeCause,
         run: &Run<'_>,
         ws: &mut SolveWorkspace,
@@ -659,7 +671,7 @@ impl Engine {
         // unrelated duplicate of the fallback task pick up accounting
         // differences, and caching under the original key would be a lie.
         obs_span!("degrade", {
-            match catch_unwind(AssertUnwindSafe(|| solve_task(&fb_task, &ctx, None, ws))) {
+            match catch_unwind(AssertUnwindSafe(|| solve_task(&fb_task, inst, &ctx, None, ws))) {
                 Ok(Ok(solved)) => {
                     obs_count!("engine.degrade.rescued");
                     obs_count!("engine.cert.ok");
@@ -677,11 +689,14 @@ impl Engine {
     }
 }
 
-/// What one worker loop shares with the others of its call: the tasks,
-/// their fabric and accounting, the stop token that plays the batch token
+/// What one worker loop shares with the others of its call: the tasks and
+/// their instance hashes, their fabric and accounting, the stop token that plays the batch token
 /// in every [`TaskCtx`], the per-task deadline, and the progress meter.
 struct Run<'a> {
     tasks: &'a [SolveTask],
+    /// `hashes[i]` is the [`instance_hash`] of `tasks[i]`, computed once
+    /// per batch.
+    hashes: &'a [u64],
     fabric: &'a Fabric,
     stats: &'a StatsCell,
     stop: &'a CancelToken,
@@ -691,11 +706,13 @@ struct Run<'a> {
     keep: Option<&'a [bool]>,
 }
 
-/// Marks each task whose result-layer key another task of `tasks` shares.
-fn duplicated_keys(tasks: &[SolveTask]) -> Vec<bool> {
+/// Marks each task whose result-layer key another task of `tasks` shares;
+/// `hashes[i]` is the [`instance_hash`] of `tasks[i]`.
+fn duplicated_keys(tasks: &[SolveTask], hashes: &[u64]) -> Vec<bool> {
     let keys: Vec<_> = tasks
         .iter()
-        .map(|t| (instance_hash(&t.instance), t.k, t.machines, t.algo, t.exact_ref))
+        .zip(hashes)
+        .map(|(t, &inst)| (inst, t.k, t.machines, t.algo, t.exact_ref))
         .collect();
     let mut count: HashMap<_, usize> = HashMap::with_capacity(keys.len());
     for key in &keys {
@@ -805,10 +822,11 @@ mod tests {
     fn one_shot_batches_store_only_duplicated_keys() {
         let grid = GridSpec::new(vec![6], vec![1, 2], vec![0], Algo::Reduction).tasks();
         let tasks = vec![grid[0].clone(), grid[1].clone(), grid[0].clone()];
-        let keep = duplicated_keys(&tasks);
+        let hashes = instance_hashes(&tasks);
+        let keep = duplicated_keys(&tasks, &hashes);
         assert_eq!(keep, [true, false, true]);
         let engine = Engine::new(EngineConfig { threads: 1, ..EngineConfig::default() });
-        let batch = engine.run_tasks(&tasks, Some(&keep));
+        let batch = engine.run_tasks(&tasks, &hashes, Some(&keep));
         assert_eq!((batch.stats.run, batch.stats.cached), (2, 1));
         let stored = |t: &SolveTask| {
             let inst = instance_hash(&t.instance);

@@ -21,7 +21,7 @@ use pobp_sched::{
 };
 use pobp_sim::{run_online, OnlineAlg, OnlineConfig};
 
-use crate::cache::{instance_hash, RefSolution, ResultCache};
+use crate::cache::{RefSolution, ResultCache};
 use crate::cancel::{StopReason, TaskCtx};
 use crate::cert::{self, CertFailure};
 use crate::task::{Algo, SolveOutput, SolveTask};
@@ -52,41 +52,43 @@ pub(crate) struct Solved {
     pub ref_hit: bool,
 }
 
-/// Computes the unbounded reference of `task`, consulting `cache`'s
-/// reference layer. The returned flag is `true` on a cache hit.
+/// Computes the unbounded reference of `task`, whose instance hashes to
+/// `inst`, through `cache`'s single-flight reference layer. The returned
+/// flag is `true` on a cache hit, including a wait on another task's
+/// computation of the same reference.
 fn reference(
     task: &SolveTask,
+    inst: u64,
     ids: &[JobId],
     cache: Option<&ResultCache>,
     ws: &mut SolveWorkspace,
 ) -> (Arc<RefSolution>, bool) {
-    let inst = instance_hash(&task.instance);
-    if let Some(c) = cache {
-        if let Some(hit) = c.get_ref(inst, task.exact_ref) {
-            obs_count!("engine.cache.ref_hits");
-            // Timing-class: which task wins the race to compute a shared
-            // reference depends on scheduling order.
-            trace_event!(timing "cache.ref_hit");
-            return (hit, true);
-        }
-    }
-    let sol = obs_time!("engine.solve.time.reference", {
-        if task.exact_ref {
-            let opt = opt_unbounded(&task.instance, ids);
-            RefSolution { schedule: opt.schedule, value: opt.value }
-        } else {
-            let inf = greedy_unbounded_ws(&task.instance, ids, ws);
-            let value = inf.schedule.value(&task.instance);
-            RefSolution { schedule: inf.schedule, value }
-        }
-    });
-    obs_count!("engine.solve.ref_computed");
-    trace_event!(timing "cache.ref_computed");
-    let sol = match cache {
-        Some(c) => c.put_ref(inst, task.exact_ref, sol),
-        None => Arc::new(sol),
+    let mut compute = || {
+        let sol = obs_time!("engine.solve.time.reference", {
+            if task.exact_ref {
+                let opt = opt_unbounded(&task.instance, ids);
+                RefSolution { schedule: opt.schedule, value: opt.value }
+            } else {
+                let inf = greedy_unbounded_ws(&task.instance, ids, ws);
+                let value = inf.schedule.value(&task.instance);
+                RefSolution { schedule: inf.schedule, value }
+            }
+        });
+        obs_count!("engine.solve.ref_computed");
+        trace_event!(timing "cache.ref_computed");
+        sol
     };
-    (sol, false)
+    let Some(c) = cache else {
+        return (Arc::new(compute()), false);
+    };
+    let (sol, hit) = c.reference(inst, task.exact_ref, compute);
+    if hit {
+        obs_count!("engine.cache.ref_hits");
+        // Timing-class: which task of an instance computes its reference
+        // and which ones hit depends on scheduling order.
+        trace_event!(timing "cache.ref_hit");
+    }
+    (sol, hit)
 }
 
 /// Runs the bounded stage of `task` against the reference schedule.
@@ -167,11 +169,13 @@ fn online_alg(algo: Algo) -> Option<OnlineAlg> {
     }
 }
 
-/// Runs one task to completion and certifies the result. `Err` carries the
+/// Runs one task to completion and certifies the result; `inst` is the
+/// task's [`instance_hash`](crate::cache::instance_hash). `Err` carries the
 /// stage-boundary stop reason or the certification failure; panics unwind
 /// to the caller (the pool's `catch_unwind`).
 pub(crate) fn solve_task(
     task: &SolveTask,
+    inst: u64,
     ctx: &TaskCtx,
     cache: Option<&ResultCache>,
     ws: &mut SolveWorkspace,
@@ -180,7 +184,7 @@ pub(crate) fn solve_task(
         return Err(stop.into());
     }
     let ids: Vec<JobId> = task.instance.ids().collect();
-    let (reference, ref_hit) = reference(task, &ids, cache, ws);
+    let (reference, ref_hit) = reference(task, inst, &ids, cache, ws);
     if let Some(stop) = ctx.should_stop() {
         return Err(stop.into());
     }

@@ -142,6 +142,31 @@ fn reference_layer_is_shared_across_k() {
     assert!(refs.windows(2).all(|w| w[0] == w[1]));
 }
 
+/// `run − ref_cache_hits` is the number of references a batch computed.
+fn refs_computed(tasks: &[SolveTask], threads: usize) -> usize {
+    let batch = run_batch(tasks, EngineConfig { threads, ..sequential() });
+    assert_eq!(batch.stats.run, tasks.len(), "every task completes");
+    batch.stats.run - batch.stats.ref_cache_hits
+}
+
+#[test]
+fn each_reference_is_computed_once_at_any_thread_count() {
+    let grid = GridSpec::new(vec![40, 120], vec![1, 2, 4], vec![0, 1, 2], Algo::Reduction);
+    let cells = grid.ns.len() * grid.seeds.len();
+    for threads in [1, 2, 4] {
+        assert_eq!(refs_computed(&grid.tasks(), threads), cells, "threads={threads}");
+    }
+}
+
+#[test]
+fn a_stolen_k_row_waits_for_its_reference_instead_of_recomputing_it() {
+    // One large cell, eight budgets, four workers: one worker claims the
+    // whole `k` row and starts on the reference; the idle three steal the
+    // rest of the row while it computes.
+    let grid = GridSpec::new(vec![2000], (1..=8).collect(), vec![3], Algo::Reduction);
+    assert_eq!(refs_computed(&grid.tasks(), 4), 1);
+}
+
 #[test]
 fn cache_off_recomputes_everything() {
     let base = grid_tasks();

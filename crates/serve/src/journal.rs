@@ -284,8 +284,20 @@ pub fn replay_dir(dir: &Path) -> io::Result<(Registry, u64, RecoveryReport)> {
             report.skipped += 1;
             continue;
         }
+        // The writer numbers records consecutively from the snapshot's seq,
+        // so a jump means acknowledged records went missing. Refuse, as for
+        // a corrupt record, rather than replay around the hole.
+        if record_seq != seq + 1 {
+            return Err(io::Error::new(
+                io::ErrorKind::InvalidData,
+                format!(
+                    "journal.jsonl line {}: seq gap (seq {record_seq} follows seq {seq})",
+                    i + 1
+                ),
+            ));
+        }
         registry.apply(&event);
-        seq = seq.max(record_seq);
+        seq = record_seq;
         report.replayed += 1;
     }
     Ok((registry, seq, report))
@@ -434,16 +446,16 @@ mod tests {
         bytes
     }
 
-    /// Corrupts line `line` (1-based) of the journal with `edit`, expects
-    /// recovery to refuse naming that line, and checks the directory is
+    /// Edits the lines of a 15-line journal with `edit`, expects recovery
+    /// to refuse naming line `line` (1-based), and checks the directory is
     /// left byte-for-byte as it was.
-    fn assert_refuses(tag: &str, line: usize, edit: impl FnOnce(&mut Vec<u8>)) {
+    fn assert_refuses(tag: &str, line: usize, edit: impl FnOnce(&mut Vec<Vec<u8>>)) {
         let dir = tmpdir(tag);
         let mut lines: Vec<Vec<u8>> = fifteen_line_journal(&dir)
             .split(|&b| b == b'\n')
             .map(<[u8]>::to_vec)
             .collect();
-        edit(&mut lines[line - 1]);
+        edit(&mut lines);
         let corrupt = lines.join(&b'\n');
         let path = dir.join("journal.jsonl");
         fs::write(&path, &corrupt).unwrap();
@@ -460,7 +472,8 @@ mod tests {
 
     #[test]
     fn corrupt_middle_record_refuses_to_open_and_names_its_line() {
-        assert_refuses("corrupt-seq", 2, |line| {
+        assert_refuses("corrupt-seq", 2, |lines| {
+            let line = &mut lines[1];
             let at = line.windows(5).position(|w| w == b"\"seq\"").unwrap();
             line[at + 2] = b'X'; // "seq" → "sXq"
         });
@@ -468,14 +481,25 @@ mod tests {
 
     #[test]
     fn invalid_utf8_in_an_earlier_record_refuses_to_open() {
-        assert_refuses("bad-utf8", 7, |line| line.insert(3, 0xFF));
+        assert_refuses("bad-utf8", 7, |lines| lines[6].insert(3, 0xFF));
     }
 
     #[test]
     fn corrupt_final_record_with_its_newline_refuses_to_open() {
         // A crash cannot leave a bad record followed by its newline, so
         // even the last one is corruption, not a torn append.
-        assert_refuses("corrupt-last", 15, |line| line.truncate(line.len() / 2));
+        assert_refuses("corrupt-last", 15, |lines| {
+            let line = &mut lines[14];
+            line.truncate(line.len() / 2)
+        });
+    }
+
+    #[test]
+    fn a_seq_gap_refuses_to_open_and_names_the_record_after_it() {
+        // Deleting line 7 moves the record after the gap (seq 8) to line 7.
+        assert_refuses("seq-gap", 7, |lines| {
+            lines.remove(6);
+        });
     }
 
     #[test]

@@ -10,14 +10,14 @@
 //! are a pure function of the chunk alone.
 //!
 //! Content addressing: each chunk's [`key`](ChunkPlan::key) folds the
-//! [`task_key`] of every task it contains — the same
+//! [`task_key`](pobp_engine::task_key) of every task it contains — the same
 //! content keys the cache and the chaos layer use — and the whole spec has
 //! a canonical [`spec_string`](SweepSpec::spec_string) + digest. The
 //! checkpoint manifest records both, which is how `--resume` detects a
 //! changed grid (hard error) or a changed chunk (recomputed) instead of
 //! silently merging rows from two different sweeps.
 
-use pobp_engine::{splitmix64, task_key, Algo, SolveTask};
+use pobp_engine::{instance_hashes, splitmix64, task_key_with_hash, Algo, SolveTask};
 use pobp_instances::RandomWorkload;
 
 /// A sharded sweep specification: the grid axes plus the chunk size.
@@ -164,7 +164,7 @@ impl ChunkPlan {
     }
 
     /// The chunk's content key: a fold of every task's content key (the
-    /// same [`task_key`] the cache and chaos layers use), mixed with the
+    /// same [`task_key`](pobp_engine::task_key) the cache and chaos layers use), mixed with the
     /// chunk's position. Recorded in the manifest; a resume recomputes it
     /// and recomputes any chunk whose key changed.
     pub fn key(&self) -> u64 {
@@ -172,11 +172,13 @@ impl ChunkPlan {
     }
 
     /// [`key`](ChunkPlan::key) over an already-expanded task list (the
-    /// runner expands once and reuses it).
+    /// runner expands once and reuses it). Equal to folding [`task_key`](pobp_engine::task_key)
+    /// over the tasks, but each cell's instance is hashed once for its
+    /// whole `k` row ([`instance_hashes`]).
     pub fn key_of(&self, tasks: &[SolveTask]) -> u64 {
         let mut h = splitmix64(self.index as u64 ^ 0x6368_756e_6b30_3031);
-        for t in tasks {
-            h = splitmix64(h ^ task_key(t));
+        for (t, inst) in tasks.iter().zip(instance_hashes(tasks)) {
+            h = splitmix64(h ^ task_key_with_hash(inst, t));
         }
         h
     }
